@@ -3,8 +3,10 @@
 PR 2 made the MPC decision pass cheap, PR 3 rewired every flow per hop
 through :class:`~repro.net.topology.PathScheduler`, and PR 4 rewrote that
 scheduler's event step as array math over flow-state tensors (plus
-request coalescing at CDN edges).  This lane fails loudly if the vector
-engine — or a future topology feature — regresses fleet wall time:
+request coalescing at CDN edges); the default engine now advances one
+virtual clock per path class instead.  This lane fails loudly if the
+default scheduler engine — or a future topology feature — regresses
+fleet wall time:
 
 * ``test_single_link_throughput_floor`` — the classic bottleneck fleet
   must simulate at ≥4500 content-seconds per wall second (measured ~5700
@@ -78,7 +80,7 @@ N_SESSIONS = 100
 SECONDS = 8
 CONTENT_SECONDS = N_SESSIONS * SECONDS
 
-#: content-seconds simulated per wall-clock second, vector engine.
+#: content-seconds simulated per wall-clock second, default engine.
 #: ≥3x the throughput measured before the PathScheduler vectorization
 #: (~1450 single-link / ~950 CDN on the same box).
 SINGLE_LINK_FLOOR = 4500.0
@@ -87,7 +89,7 @@ CDN_FLOOR = 3000.0
 #: Shared CI runners are routinely 2-4x slower than the reference box,
 #: and the floors above carry only ~25% local headroom — so ci.yml runs
 #: the lane with BENCH_FLOOR_SCALE=0.5.  That still catches losing the
-#: vector engine outright (the scalar loops measure ~0.3x the floors)
+#: default engine outright (the scalar loops measure ~0.3x the floors)
 #: without flaking on runner speed.  Local runs enforce the full bar.
 FLOOR_SCALE = float(os.environ.get("BENCH_FLOOR_SCALE", "1.0"))
 
@@ -202,7 +204,7 @@ def _best_of(fn, repeats: int = 3) -> float:
 
 
 def test_single_link_throughput_floor():
-    """Vector-engine floor through the one-hop path."""
+    """Default-engine floor through the one-hop path."""
     wall = _best_of(_run_single_link)
     rate = CONTENT_SECONDS / wall
     print(f"\nsingle-link fleet {N_SESSIONS}x{SECONDS}s: {wall * 1e3:.0f} ms "
@@ -215,7 +217,7 @@ def test_single_link_throughput_floor():
 
 
 def test_cdn_throughput_floor():
-    """Vector-engine floor through the two-hop CDN path."""
+    """Default-engine floor through the two-hop CDN path."""
     wall = _best_of(_run_cdn)
     rate = CONTENT_SECONDS / wall
     print(f"\ncdn fleet {N_SESSIONS}x{SECONDS}s: {wall * 1e3:.0f} ms "

@@ -1,10 +1,8 @@
 """Multi-link network topologies: paths over shared links.
 
-The fleet simulator (PR 1–2) pushes every transfer through a single
-:class:`~repro.net.link.SharedLink`.  A CDN serves viewers over *paths* —
-origin → edge backhaul, then edge → viewer access — where several paths
-share component links and the bottleneck moves with load.  This module
-adds that layer while keeping the single-link case bit-exact:
+A CDN serves viewers over *paths* — origin → edge backhaul, then edge →
+viewer access — where several paths share component links and the
+bottleneck moves with load:
 
 * :class:`NetworkPath` — an ordered series of :class:`SharedLink` hops.
   A fluid transfer traverses all hops simultaneously (cut-through, not
@@ -22,47 +20,36 @@ minimum — deterministic and monotone (adding a hop can never increase a
 flow's rate), though not globally max-min (bandwidth a flow cannot use on
 a non-bottleneck hop is not redistributed; the conservative model).
 
-**Two engines, one contract.**  ``PathScheduler(engine="vector")`` (the
-default) evaluates every event step as array math over flow-state
-tensors: flow scalars live in slot-indexed NumPy arrays, each flow's hop
-membership is a row of link indices in a dense ``(slot, hop)`` matrix,
-per-link share denominators come from one ``bincount`` over the active
-rows, per-flow rates from one ``min`` over the hop axis, and the next
-completion horizon from one ``np.min`` over ``remaining / rate``.
-``engine="scalar"`` keeps the original per-flow Python loops as the
-reference oracle.  The two engines are **bit-exact** with each other:
-every float expression is the same IEEE operation in the same order (the
-one order-sensitive reduction — the ``weighted`` share denominator,
-where NumPy's pairwise summation diverges from Python's sequential
-``sum`` at 8+ flows — is computed by an insertion-order Python sum on
-weighted links in both engines).  ``tests/net/test_topology.py`` pins
-the parity on a hypothesis grid of mixed weights, staggered starts, and
-multi-hop paths over shared links.
+**Two engines, one contract.**  ``engine="scalar"``, the reference
+oracle, loops over every active flow and link each event step; for
+one-hop paths it mirrors :class:`SharedLink` operation for operation.
+``engine="class"`` (the default) groups active flows into *path classes*
+keyed by (path, weight).  Every member gets the same min-over-hops rate,
+so a class keeps one virtual service clock — bits served per member, the
+GPS virtual time of Parekh & Gallager (1993) — and a heap of finish marks
+(clock at activation + bits to send).  Only classes whose links changed
+load are re-rated, link capacities stay cached until their trace or
+degradation boundary, and one heap bounds every class's next completion:
+a step costs O(classes touched + log n), not O(active flows × hops).
 
-**One-hop bit-exactness.**  For flows that all traverse the same one-hop
-path, every expression here mirrors :class:`SharedLink`'s arithmetic
-operation for operation (shares, drain, finish tolerance, the solo-flow
-fast path through segment-exact integration), so a fleet scheduled
-through a one-hop :class:`PathScheduler` reproduces the bare
-``SharedLink`` fleet — and therefore ``simulate_session`` — bit for bit.
-The property tests in ``tests/net/test_topology.py`` enforce this.
+The stated tolerance between the engines is **zero**.  Clocks only pick
+candidates: a candidate's bits are replayed from its class's record of
+per-step drains (the oracle's own ``rate * dt`` products, subtracted in
+its order), and instants, rates and capacities are the oracle's
+expressions, so completions are bit-identical
+(``tests/net/test_topology.py``).  ``delivered_bits`` totals agree to
+float tolerance; :meth:`PathScheduler.check` verifies them on either.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import heapq
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .link import (
-    Completion,
-    SharedLink,
-    _FINISH_ATOL,
-    _FINISH_RTOL,
-    _finish_threshold,
-)
-from .traces import NetworkTrace
+from .link import Completion, SharedLink, _finish_threshold
 
 __all__ = ["NetworkPath", "PathScheduler", "SCHEDULER_ENGINES", "path_download_time"]
 
@@ -102,11 +89,9 @@ class NetworkPath:
 def path_download_time(path: NetworkPath, nbytes: int, start_time: float) -> float:
     """Seconds to fetch ``nbytes`` over an otherwise-idle path.
 
-    The multi-hop generalization of :meth:`repro.net.link.Link.download_time`:
-    the instantaneous rate is the minimum over hop traces, segments end at
-    the nearest boundary of any hop, and the path RTT is paid up front.
-    For a one-hop path this performs the identical float operations, so it
-    is bit-exact with the single-link integrator.
+    The multi-hop :meth:`repro.net.link.Link.download_time`: the rate is
+    the minimum over hop traces and segments end at the nearest boundary
+    of any hop (one hop: bit-exact with the single-link integrator).
     """
     if nbytes < 0:
         raise ValueError("nbytes must be non-negative")
@@ -148,7 +133,7 @@ def _bits_over(traces, start: float, end: float) -> float:
     raise RuntimeError("integration did not converge")  # pragma: no cover
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
 class _PathFlow:
     flow_id: int
     nbytes: int
@@ -157,16 +142,79 @@ class _PathFlow:
     data_start: float  # start_time + path RTT + any gate delay
     weight: float
     total_bits: float
+    #: remaining bits (class engine, active: as of event step ``idx``)
     remaining_bits: float
     #: exact elapsed via path_download_time when the flow had every hop to
     #: itself for its whole lifetime (None = shared/progressive)
     solo_elapsed: float | None = field(default=None)
-    #: row index in the vector engine's state arrays (-1 = scalar engine)
-    slot: int = -1
+    cls: _PathClass | None = None  # class engine: class it is active in
+    idx: int = 0
+    #: class engine queue token: -1 in no queue, 0 in the finished list,
+    #: else the sequence number of its live heap entry (older ones stale)
+    seq: int = -1
+
+
+class _Hop:
+    """Class-engine state of one link: its load and capacity segment."""
+
+    __slots__ = ("link", "weighted", "classes", "n", "wsum", "trace", "lo", "hi", "bw")
+
+    def __init__(self, link: SharedLink) -> None:
+        self.link = link
+        self.weighted = link.policy == "weighted"
+        self.classes: list[_PathClass] = []  # active classes crossing it
+        self.n = 0  # active flows (fair share denominator)
+        self.wsum = 0.0  # active weight (weighted share denominator)
+        self.trace = None  # capacity ``bw`` cached over ``[lo, hi)``
+        self.lo = self.hi = self.bw = 0.0
+
+
+class _PathClass:
+    """Active flows sharing one (path, weight): one rate, one clock."""
+
+    __slots__ = ("key", "hops", "weight", "heap", "n", "rate", "drains", "base",
+                 "clock", "t_ref", "svc", "tmax", "due")
+
+    def __init__(self, key, hops: list[_Hop], weight: float, now: float, step: int):
+        self.key, self.hops, self.weight = key, hops, weight
+        self.heap: list[tuple[float, int, _PathFlow]] = []  # (mark, seq, flow)
+        self.n = 0
+        self.rate = 0.0
+        #: the clock's exact record: per-step drains ``rate * dt`` from
+        #: event step ``base`` on at ``drains[k - base + 1]`` (slot 0 spare)
+        self.drains = array("d", [0.0])
+        self.base = step
+        self.clock = 0.0  # estimated bits served per member at ``t_ref``
+        self.t_ref = now
+        self.svc = 0.0  # n * rate as counted in the pool's service rate
+        self.tmax = 0.0  # largest finish threshold of any member
+        self.due = -1  # sequence number of its live ``_due`` entry
+
+
+def _near(heap: list, bound: float) -> list:
+    """Heap entries with key ``<= bound`` (pruned walk of the heap tree)."""
+    if not heap or heap[0][0] > bound:
+        return []
+    out, stack, n = [heap[0]], [1, 2], len(heap)
+    while stack:
+        i = stack.pop()
+        if i < n and heap[i][0] <= bound:
+            out.append(heap[i])
+            stack += (2 * i + 1, 2 * i + 2)
+    return out
 
 
 #: Supported :class:`PathScheduler` event engines.
-SCHEDULER_ENGINES = ("vector", "scalar")
+SCHEDULER_ENGINES = ("class", "scalar")
+#: Relative slack of :meth:`PathScheduler.check`'s conservation identities.
+_CHECK_RTOL = 1e-9
+#: Relative bound on the float drift of a clock estimate (mark − clock)
+#: from a flow's exact bits: far above the ~steps × 1e-16 it can reach.
+_DRIFT = 1e-6
+#: Relative time slack within which cached link capacities and boundaries
+#: are re-read from the trace exactly as the oracle reads them.
+_SLACK = 1e-9
+_RECORD = 4096  # event steps between settling every class's drain record
 
 
 class PathScheduler:
@@ -181,20 +229,11 @@ class PathScheduler:
 
     ``extra_delay`` on :meth:`add_flow` gates a flow's data start beyond
     the path RTT without changing the elapsed-time origin — the hook the
-    CDN layer uses for server-side encode waits (the viewer's measured
-    download time includes the wait, as it would on a real service).
-
-    ``engine`` selects the event-step implementation: ``"vector"`` (the
-    default) runs each step as array math over all flows at once,
-    ``"scalar"`` keeps the per-flow Python loops as the reference oracle.
-    Both produce bit-identical :class:`Completion` streams (see module
-    docstring); ``delivered_bits`` totals may differ in the last ulps
-    because the vector engine accumulates the pool total with ``np.sum``
-    and charges per-link bits once per flow as it leaves the pool
-    (completion or cancellation) instead of per event step.
+    CDN layer uses for server-side encode waits.  ``engine`` is
+    ``"class"`` (default) or the ``"scalar"`` oracle (module docstring).
     """
 
-    def __init__(self, engine: str = "vector") -> None:
+    def __init__(self, engine: str = "class") -> None:
         if engine not in SCHEDULER_ENGINES:
             raise ValueError(
                 f"unknown engine {engine!r}; pick from {SCHEDULER_ENGINES}"
@@ -204,10 +243,26 @@ class PathScheduler:
         #: per-link flow registries, insertion-ordered like SharedLink's
         self._link_flows: dict[int, dict[int, _PathFlow]] = {}
         self._links: dict[int, SharedLink] = {}
+        self._link_base: dict[int, float] = {}  # delivered_bits at first use
         #: bits actually delivered to receivers (conservation checks)
         self.delivered_bits = 0.0
-        if engine == "vector":
-            self._vec = _VectorState()
+        #: bits removed flows crossed, plain and times their hop counts
+        self._crossed = self._crossed_hops = 0.0
+        # Class engine state.
+        self._hops: dict[int, _Hop] = {}
+        self._classes: dict[tuple, _PathClass] = {}
+        self._waiting: list[tuple[float, int, _PathFlow]] = []  # by data start
+        #: empty flows awaiting their report (zero-byte, or sync-emptied)
+        self._finished: list[_PathFlow] = []
+        self._dirty: dict[int, _Hop] = {}  # hops whose load changed
+        self._horizon = float("inf")  # earliest cached segment end, loaded hops
+        #: classes by a lower bound on any member's finish (stale skipped)
+        self._due: list[tuple[float, int, _PathClass]] = []
+        self._service = 0.0  # Σ n × rate: bits the pool serves per second
+        self._steps = 0  # event steps advanced
+        self._seq = 0
+        #: instant activation and rates are current for (None after a change)
+        self._ready: float | None = None
 
     # ------------------------------------------------------------------
     def add_flow(
@@ -230,27 +285,22 @@ class PathScheduler:
             raise ValueError("weight must be positive")
         if extra_delay < 0:
             raise ValueError("extra_delay must be non-negative")
-        bits = float(nbytes) * 8.0
-        flow = _PathFlow(
-            flow_id=flow_id,
-            nbytes=nbytes,
-            path=path,
-            start_time=float(start_time),
-            data_start=float(start_time) + path.rtt + float(extra_delay),
-            weight=float(weight),
-            total_bits=bits,
-            remaining_bits=bits,
-        )
+        bits, start = float(nbytes) * 8.0, float(start_time)
+        data_start = start + path.rtt + float(extra_delay)
+        flow = _PathFlow(flow_id, nbytes, path, start, data_start, float(weight), bits, bits)
         if extra_delay > 0.0:
             # A gated flow is never "untouched solo" in the SharedLink
             # sense; forcing the progressive path keeps elapsed exact.
             flow.solo_elapsed = float("nan")
         self._flows[flow_id] = flow
         for link in path.links:
-            self._links.setdefault(id(link), link)
-            self._link_flows.setdefault(id(link), {})[flow_id] = flow
-        if self.engine == "vector":
-            self._vec.add(flow)
+            if id(link) not in self._links:
+                self._links[id(link)] = link
+                self._link_base[id(link)] = link.delivered_bits
+                self._link_flows[id(link)] = {}
+            self._link_flows[id(link)][flow_id] = flow
+        if self.engine == "class":
+            self._place(flow)
 
     @property
     def n_flows(self) -> int:
@@ -263,15 +313,9 @@ class PathScheduler:
     def cancel(self, flow_id: int) -> None:
         """Withdraw an in-flight transfer without completing it.
 
-        The fault-injection hook: an edge outage kills every transfer
-        riding the dead edge's links mid-flight, and the fleet driver
-        re-issues them on the failover path.  Bits already drained stay
-        counted in ``delivered_bits`` (they did cross the links); the
-        flow simply never reports a :class:`Completion`.  Cancelling at
-        an arbitrary instant is safe for the remaining pool: the solo
-        fast path only engages for a flow that has drained nothing,
-        which after a cancellation can only be a flow still inside its
-        RTT/encode gate — alone from here on, its closed form is exact.
+        The fault-injection hook (outages, timeouts).  Bits already
+        drained stay counted in ``delivered_bits``; the flow never reports
+        a :class:`Completion`.
         """
         flow = self._flows.get(flow_id)
         if flow is None:
@@ -286,83 +330,113 @@ class PathScheduler:
         """Materialize a solo flow's progress up to ``now``.
 
         The solo fast path resolves a lone untouched flow's finish in
-        closed form and drains nothing until it completes — valid only
-        while the pool stays unchanged, the pattern of completion-driven
-        drivers.  A driver that injects a flow at any other instant (the
-        fleet's deferred CDN requests) must call this first: the solo
-        flow's bits moved so far are accounted and it continues
-        progressively, instead of silently restarting from its full byte
-        count when the newcomer lands.
+        closed form and drains nothing until it completes.  A driver that
+        injects or cancels a flow at any other instant (the fleet's
+        deferred CDN requests) must call this first, or the solo flow
+        would silently restart from its full byte count.
         """
-        solo = self._solo_flow()
+        solo = self._solo_flow() if len(self._flows) == 1 else None
         if solo is None or solo.total_bits == 0.0 or now <= solo.data_start:
             return
         traces = [link.trace for link in solo.path.links]
-        drained = min(
-            _bits_over(traces, solo.data_start, now), solo.remaining_bits
-        )
+        # Untouched, so its remaining bits are its total.
+        drained = min(_bits_over(traces, solo.data_start, now), solo.total_bits)
         if drained <= 0.0:
             return
-        solo.remaining_bits -= drained
         self.delivered_bits += drained
         solo.solo_elapsed = None
-        if self.engine == "vector":
-            # Per-link accounting is deferred to ``_remove`` (crossed =
-            # total - remaining at removal), which covers this drain.
-            self._vec.write_remaining(solo)
-        else:
+        if self.engine == "scalar":
+            solo.remaining_bits -= drained
             self._account(solo, drained)
+        else:
+            # Re-queue with the banked progress; emptied outright (the
+            # request landed at the solo finish) it still reports.
+            self._detach(solo)
+            solo.remaining_bits -= drained
+            self._place(solo)
+
+    def check(self) -> None:
+        """Verify the pool's byte conservation once every flow has left.
+
+        Raises :class:`RuntimeError` naming the first violated identity:
+        no flow may still be in flight; the pool's ``delivered_bits``
+        (accumulated per event step) must equal the bits every removed
+        flow crossed (derived per flow at removal); and the links'
+        ``delivered_bits`` gained in this pool must equal those crossed
+        bits times each flow's hop count.
+        """
+        if self._flows:
+            raise RuntimeError(f"scheduler check: {len(self._flows)} flow(s) still in flight")
+        crossed = self._crossed
+        if abs(self.delivered_bits - crossed) > _CHECK_RTOL * max(crossed, 1.0):
+            raise RuntimeError(
+                f"scheduler check: pool delivered_bits {self.delivered_bits!r} "
+                f"!= crossed bits of removed flows {crossed!r}"
+            )
+        base = self._link_base
+        link_bits = sum(link.delivered_bits - base[li] for li, link in self._links.items())
+        hop_bits = self._crossed_hops
+        if abs(link_bits - hop_bits) > _CHECK_RTOL * max(hop_bits, 1.0):
+            raise RuntimeError(
+                f"scheduler check: link delivered_bits {link_bits!r} != "
+                f"crossed bits x hops {hop_bits!r}"
+            )
 
     # ------------------------------------------------------------------
-    def _solo_flow(self) -> _PathFlow | None:
-        """The lone untouched flow, if the whole pool holds exactly one.
+    def _remaining(self, flow: _PathFlow) -> float:
+        """Bits ``flow`` has left to send, exactly as the oracle has them.
 
-        Mirrors :meth:`SharedLink._solo_flow`: a flow that is alone *now*
-        and has drained nothing is guaranteed every hop to itself for its
-        entire lifetime (drivers only add flows when one completes), so
-        its finish resolves exactly through segment-exact integration.
+        An active flow replays its class's drains since step ``idx`` in
+        the oracle's order (``np.subtract.accumulate`` is sequential).
         """
+        cls = flow.cls
+        if cls is None:
+            return flow.remaining_bits
+        i, n = flow.idx, self._steps
+        if i < n:
+            r = flow.remaining_bits
+            drains = cls.drains
+            lo = i - cls.base + 1
+            if n - i <= 16:
+                for k in range(lo, lo + n - i):
+                    r -= drains[k]
+            else:
+                # Park r in the slot before step i; accumulate in place.
+                view = np.frombuffer(drains)[lo - 1 :]
+                saved = view[0]
+                view[0] = r
+                r = float(np.subtract.accumulate(view)[-1])
+                view[0] = saved
+            flow.remaining_bits = r
+            flow.idx = n
+        return flow.remaining_bits
+
+    def _solo_flow(self) -> _PathFlow | None:
+        """The lone untouched flow, if the whole pool holds exactly one:
+        its finish resolves in closed form (as :meth:`SharedLink._solo_flow`)."""
         if len(self._flows) != 1:
             return None
         flow = next(iter(self._flows.values()))
-        if self.engine == "vector" and flow.slot >= 0:
-            # The vector engine leaves object-side ``remaining_bits``
-            # stale between events (see ``_advance_vector``); refresh the
-            # one candidate before the untouched-solo check.
-            flow.remaining_bits = float(self._vec.remaining[flow.slot])
-        if flow.remaining_bits != flow.total_bits:
+        if self._remaining(flow) != flow.total_bits:
             return None
         if flow.solo_elapsed is not None and flow.solo_elapsed != flow.solo_elapsed:
             return None  # NaN sentinel: gated flow, use the fluid path
         return flow
 
     def _allocations(self, now: float) -> dict[int, tuple[float, float]]:
-        """Per-link ``(capacity, share denominator)`` at ``now``.
-
-        Computed once per event step (like :class:`SharedLink` does), so
-        per-flow rates are O(hops) after this O(links + flows) pass.
-        Links with no active flow are absent.  Share arithmetic delegates
-        to the link's own ``_share_denominator``/``_share_of`` (they only
-        read ``policy`` and per-flow ``weight``), so one-hop paths are
-        float-identical to :class:`SharedLink` by construction.
-        """
+        """Per-link ``(capacity, share denominator)`` at ``now``, via the
+        link's own share arithmetic (one hop ≡ :class:`SharedLink`)."""
         alloc: dict[int, tuple[float, float]] = {}
         for link_id, link in self._links.items():
             active = [
-                f
-                for f in self._link_flows[link_id].values()
+                f for f in self._link_flows[link_id].values()
                 if f.data_start <= now and f.remaining_bits > 0.0
             ]
             if active:
-                alloc[link_id] = (
-                    link.trace.bandwidth_at(now),
-                    link._share_denominator(active),
-                )
+                alloc[link_id] = (link.trace.bandwidth_at(now), link._share_denominator(active))
         return alloc
 
-    def _rate_of(
-        self, flow: _PathFlow, alloc: dict[int, tuple[float, float]]
-    ) -> float:
+    def _rate_of(self, flow: _PathFlow, alloc: dict[int, tuple[float, float]]) -> float:
         """Min-over-hops allocation for one active flow."""
         rate: float | None = None
         for link in flow.path.links:
@@ -376,28 +450,22 @@ class PathScheduler:
         """Earliest future instant any link's allocation can change."""
         if not self._flows:
             raise RuntimeError("no flows in flight")
-        solo = self._solo_flow()
+        solo = self._solo_flow() if len(self._flows) == 1 else None
         if solo is not None:
             if solo.solo_elapsed is None:
                 solo.solo_elapsed = path_download_time(
                     solo.path, solo.nbytes, solo.start_time
                 )
             return solo.start_time + solo.solo_elapsed
-        if self.engine == "vector":
-            return self._next_event_vector(now)
+        if self.engine == "class":
+            return self._next_event_class(now)
 
         events = [f.data_start for f in self._flows.values() if f.data_start > now]
         # Zero-byte transfers complete as soon as their RTT elapses.
-        events += [
-            max(f.data_start, now)
-            for f in self._flows.values()
-            if f.remaining_bits <= 0.0
-        ]
+        events += [max(f.data_start, now) for f in self._flows.values() if f.remaining_bits <= 0.0]
         alloc = self._allocations(now)
         for link_id in alloc:
-            events.append(
-                now + self._links[link_id].trace.time_to_next_change(now)
-            )
+            events.append(now + self._links[link_id].trace.time_to_next_change(now))
         if alloc:
             for f in self._flows.values():
                 if f.data_start <= now and f.remaining_bits > 0.0:
@@ -407,30 +475,28 @@ class PathScheduler:
     def advance(self, now: float, to_time: float) -> list[Completion]:
         """Drain all flows from ``now`` to ``to_time``; report completions.
 
-        ``to_time`` must not exceed the next event (allocations are
-        assumed constant over the interval).  Completions are ordered by
-        flow id for determinism, matching :meth:`SharedLink.advance`.
+        ``to_time`` must not exceed the next event.  Completions are
+        ordered by flow id, matching :meth:`SharedLink.advance`.
         """
         if to_time < now:
             raise ValueError("cannot advance backwards")
-        solo = self._solo_flow()
+        solo = self._solo_flow() if len(self._flows) == 1 else None
         if solo is not None and solo.solo_elapsed is not None:
             finish = solo.start_time + solo.solo_elapsed
             if finish <= to_time:
                 self.delivered_bits += solo.total_bits
-                self._account(solo, solo.total_bits)
+                if self.engine == "scalar":
+                    self._account(solo, solo.total_bits)
+                self._detach(solo)
+                solo.remaining_bits = 0.0
                 self._remove(solo)
                 return [Completion(solo.flow_id, finish, solo.solo_elapsed)]
             return []
-        if self.engine == "vector":
-            return self._advance_vector(now, to_time)
+        if self.engine == "class":
+            return self._advance_class(now, to_time)
 
         dt = to_time - now
-        active = [
-            f
-            for f in self._flows.values()
-            if f.data_start <= now and f.remaining_bits > 0.0
-        ]
+        active = [f for f in self._flows.values() if f.data_start <= now and f.remaining_bits > 0.0]
         # Allocations are fixed over [now, to_time]: snapshot every rate
         # before draining, or a flow emptied earlier in this loop would
         # hand its share to later flows mid-interval.
@@ -454,166 +520,241 @@ class PathScheduler:
         return done
 
     # ------------------------------------------------------------------
-    # Vector engine: one array pass per event step.
-    def _link_seg(self, li: int, now: float) -> tuple[float, float]:
-        """``(bandwidth, time-to-next-change)`` for link ``li`` at ``now``.
-
-        Plain :class:`NetworkTrace` lookups dominate the per-event cost at
-        fleet scale (two bisect calls per active link per event), so the
-        current segment is cached per link and revalidated with one
-        ``fmod`` and two comparisons.  Every returned value reproduces the
-        trace methods' float expressions exactly — ``bandwidth_at`` is a
-        cached segment constant, ``time_to_next_change`` is the same
-        ``nxt - local`` subtraction — so scalar/vector engine parity is
-        untouched.  Wrapped traces (e.g. fault-injection
-        ``DegradedTrace``) have time-varying composition and fall back to
-        the trace methods.
-        """
-        trace = self._vec.link_list[li].trace
-        if type(trace) is not NetworkTrace:
-            return trace.bandwidth_at(now), trace.time_to_next_change(now)
-        local = now % trace._duration
-        seg = self._vec.seg_cache.get(li)
-        if seg is None or seg[0] is not trace or not (seg[1] <= local < seg[2]):
-            ts = trace._ts_list
-            i = bisect_right(ts, local)
-            hi = ts[i] if i < len(ts) else trace._duration
-            seg = (trace, ts[i - 1], hi, trace._bw_list[i - 1])
-            self._vec.seg_cache[li] = seg
-        return seg[3], seg[2] - local
-
-    def _vec_alloc(self, now: float):
-        """Active slots, their rates, and the active links' event horizon.
-
-        Returns ``(idx, rates, min_ttc)`` where ``min_ttc`` is the
-        smallest time-to-next-change over links carrying active flows
-        (``inf`` when none) — stashed here because the capacity lookup
-        already touches each active link's trace segment, and
-        ``min(now + ttc_i) == now + min(ttc_i)`` bit-exactly (adding the
-        same ``now`` is monotone), so ``_next_event_vector`` never
-        re-queries the traces.  Cached on ``(now, state version)`` so the
-        ``next_event`` → ``advance`` pair of one event step computes the
-        allocation once.  Every float expression mirrors the scalar
-        engine operation for operation: fair denominators are integer
-        counts (exact in any summation order), weighted denominators fall
-        back to an insertion-order Python sum (NumPy's pairwise reduction
-        diverges from ``sum`` at 8+ flows), shares are ``cap / denom`` or
-        ``(cap * w) / denom``, and the per-flow rate is an
-        order-insensitive min over the hop axis.
-        """
-        v = self._vec
-        key = (now, v.version)
-        cached = v.alloc_cache
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        n = v.n_slots
-        act = v.alive[:n] & (v.data_start[:n] <= now) & (v.remaining[:n] > 0.0)
-        idx = act.nonzero()[0]
-        if idx.size == 0:
-            out = (idx, _EMPTY, np.inf)
-        elif len(v.link_list) == 2:
-            # One real link in the pool (the classic single-bottleneck
-            # fleet): every active flow shares it, so the whole incidence
-            # machinery collapses to one share computation.
-            link = v.link_list[1]
-            capacity, min_ttc = self._link_seg(1, now)
-            if link.policy == "weighted":
-                denom = 0.0
-                for f in self._link_flows[id(link)].values():
-                    if act[f.slot]:
-                        denom += f.weight
-                rates = capacity * v.weight[idx] / denom
-            else:
-                rates = np.full(idx.size, capacity / float(idx.size))
-            out = (idx, rates, min_ttc)
+    # Class engine: one virtual clock per (path, weight) class.
+    def _place(self, flow: _PathFlow) -> None:
+        """Queue a flow that is in no class: finished if empty, else waiting."""
+        self._ready = None
+        if flow.remaining_bits <= 0.0:
+            flow.seq = 0
+            self._finished.append(flow)
         else:
-            rows = v.hops[idx]
-            counts = np.bincount(rows.ravel(), minlength=len(v.link_list))
-            denom = counts.astype(np.float64)
-            denom[0] = 1.0  # padding sentinel: never a real share
-            active_links = (np.nonzero(counts[1:])[0] + 1).tolist()
-            cap = np.empty(len(v.link_list))
-            cap[0] = np.inf
-            min_ttc = np.inf
-            for li in active_links:
-                cap[li], ttc = self._link_seg(li, now)
-                if ttc < min_ttc:
-                    min_ttc = ttc
-            if v.weighted_links:
-                for li in v.weighted_links:
-                    if counts[li]:
-                        total = 0.0
-                        for f in self._link_flows[id(v.link_list[li])].values():
-                            if act[f.slot]:
-                                total += f.weight
-                        denom[li] = total
-                numer = np.where(
-                    v.is_weighted[rows],
-                    cap[rows] * v.weight[idx][:, None],
-                    cap[rows],
+            self._seq += 1
+            flow.seq = self._seq
+            heapq.heappush(self._waiting, (flow.data_start, self._seq, flow))
+
+    def _detach(self, flow: _PathFlow) -> None:
+        """Take a flow out of its class or queue, materializing its bits."""
+        cls = flow.cls
+        if cls is not None:
+            flow.remaining_bits = self._remaining(flow)
+            flow.cls = None
+            self._join(cls, -1)
+        elif flow.seq == 0:
+            self._finished.remove(flow)
+        flow.seq = -1  # any heap entry left behind is now stale
+
+    def _join(self, cls: _PathClass, delta: int) -> None:
+        """Change a class's active membership; its hops' loads go dirty."""
+        if cls.n == 0:
+            for hop in cls.hops:
+                hop.classes.append(cls)
+        cls.n += delta
+        for hop in cls.hops:
+            self._dirty[id(hop)] = hop
+        if cls.n == 0:
+            del self._classes[cls.key]
+            for hop in cls.hops:
+                hop.classes.remove(cls)
+            cls.due = -1
+            self._service = self._service - cls.svc if self._classes else 0.0
+
+    def _activate(self, now: float) -> None:
+        """Move every waiting flow whose data has started into its class."""
+        waiting = self._waiting
+        while waiting and waiting[0][0] <= now:
+            _, seq, flow = heapq.heappop(waiting)
+            if flow.seq != seq:
+                continue
+            key = (flow.path.links, flow.weight)
+            cls = self._classes.get(key)
+            if cls is None:
+                hops = []
+                for link in flow.path.links:
+                    hop = self._hops.get(id(link))
+                    if hop is None:
+                        hop = self._hops[id(link)] = _Hop(link)
+                    hops.append(hop)
+                cls = self._classes[key] = _PathClass(
+                    key, hops, flow.weight, now, self._steps
+                )
+            flow.cls = cls
+            flow.idx = self._steps
+            mark = cls.clock + cls.rate * (now - cls.t_ref) + flow.remaining_bits
+            cls.tmax = max(cls.tmax, _finish_threshold(flow.total_bits))
+            self._seq += 1
+            flow.seq = self._seq
+            heapq.heappush(cls.heap, (mark, self._seq, flow))
+            self._join(cls, 1)
+
+    def _refresh(self, now: float) -> None:
+        """Recompute the rates of classes on links whose state changed.
+
+        A link is dirty when a class crossing it gained or lost members,
+        or when ``now`` nears the end of its cached capacity segment; it
+        then re-reads its trace at ``now`` as the oracle does every step.
+        Shares are the oracle's expressions — ``bw / n`` (fair), or
+        ``bw * w / Σw`` with Σw summed over the link's active flows in
+        insertion order (weighted) — and a class's rate is their min over
+        hops.  Each recomputed class re-keys its ``_due`` bound.
+        """
+        dirty = self._dirty
+        slack = _SLACK * (now + 1.0)
+        if now >= self._horizon - slack:
+            for hop in self._hops.values():
+                if hop.classes and now >= hop.hi - slack:
+                    dirty[id(hop)] = hop
+        if not dirty:
+            return
+        touched: list[_PathClass] = []
+        rescan = False
+        for hop in dirty.values():
+            classes = hop.classes
+            if not classes:
+                rescan = rescan or hop.hi <= self._horizon
+                continue
+            if hop.weighted:
+                hop.wsum = sum(
+                    f.weight
+                    for f in self._link_flows[id(hop.link)].values()
+                    if f.cls is not None
                 )
             else:
-                numer = cap[rows]
-            rates = (numer / denom[rows]).min(axis=1)
-            out = (idx, rates, min_ttc)
-        v.alloc_cache = (key, out)
-        return out
-
-    def _next_event_vector(self, now: float) -> float:
-        v = self._vec
-        n = v.n_slots
-        ds = v.data_start[:n]
-        alive = v.alive[:n]
-        best = np.inf
-        waiting = ds[alive & (ds > now)]
-        if waiting.size:
-            best = waiting.min()
-        # Already-empty flows (zero-byte transfers, sync-drained solos)
-        # complete as soon as their data start elapses.
-        for f in v.finished:
-            best = min(best, max(f.data_start, now))
-        idx, rates, min_ttc = self._vec_alloc(now)
-        if min_ttc < np.inf:
-            best = min(best, now + min_ttc)
-        if idx.size:
-            best = min(best, (now + v.remaining[idx] / rates).min())
-        return float(best)
-
-    def _advance_vector(self, now: float, to_time: float) -> list[Completion]:
-        v = self._vec
-        idx, rates, _ = self._vec_alloc(now)
-        finished: list[_PathFlow] = []
-        if idx.size:
-            dt = to_time - now
-            cur = v.remaining[idx]
-            drained = np.minimum(rates * dt, cur)
-            after = cur - drained
-            flush = after <= v.thresh[idx]
-            total_bits = float(drained.sum())
-            # Flow objects are NOT mirrored here: per-link delivered-bits
-            # accounting and the object-side ``remaining_bits`` are
-            # materialized lazily — per link when a flow leaves the pool
-            # (``_remove``), per object in ``_solo_flow``/``sync``.  The
-            # old per-event mirror loop was O(active flows) of Python per
-            # event step and dominated large-fleet wall time.
-            if flush.any():
-                total_bits += float(after[flush].sum())
-                after[flush] = 0.0
-                flow_of = v.flow_of
-                for s in idx[flush].tolist():
-                    f = flow_of[s]
-                    f.remaining_bits = 0.0
-                    finished.append(f)
-            self.delivered_bits += total_bits
-            v.remaining[idx] = after
-            v.version += 1
-        # Flows can complete two ways: drained to zero above, or already
-        # empty (zero-byte transfers, sync-drained solos) once their
-        # data_start has elapsed.
-        if v.finished:
-            finished.extend(
-                f for f in v.finished if f.data_start <= to_time
+                n = 0
+                for cls in classes:
+                    n += cls.n
+                hop.n = n
+            trace = hop.link.trace
+            if hop.trace is not trace or not hop.lo <= now < hop.hi - slack:
+                hop.trace, hop.lo, hop.bw = trace, now, trace.bandwidth_at(now)
+                hop.hi = now + trace.time_to_next_change(now)
+                rescan = True
+            elif hop.hi < self._horizon:  # a hop that just became loaded
+                self._horizon = hop.hi
+            for cls in classes:
+                if cls not in touched:
+                    touched.append(cls)
+        dirty.clear()
+        due = self._due
+        service = self._service
+        for cls in touched:
+            rate = float("inf")
+            for hop in cls.hops:
+                share = hop.bw * cls.weight / hop.wsum if hop.weighted else hop.bw / hop.n
+                if share < rate:
+                    rate = share
+            clock = cls.clock = cls.clock + cls.rate * (now - cls.t_ref)
+            cls.t_ref = now
+            cls.rate = rate
+            svc = cls.n * rate
+            service += svc - cls.svc
+            cls.svc = svc
+            heap = cls.heap
+            while heap[0][2].seq != heap[0][1]:
+                heapq.heappop(heap)
+            # Lower bound on when any member can reach its finish threshold.
+            mark = heap[0][0]
+            err = _DRIFT * (mark + clock) + cls.tmax
+            self._seq += 1
+            cls.due = self._seq
+            heapq.heappush(due, (now + (mark - clock - err) / rate - slack, self._seq, cls))
+        self._service = service
+        if len(due) > 8 * len(self._classes) + 64:
+            self._due = [e for e in due if e[2].due == e[1]]
+            heapq.heapify(self._due)
+        if rescan:
+            self._horizon = min(
+                (hop.hi for hop in self._hops.values() if hop.classes),
+                default=float("inf"),
             )
+
+    def _finish_of(self, cls: _PathClass, now: float) -> float:
+        """The oracle's earliest completion instant among ``cls``'s members:
+        those whose marks lie within drift of the top, replayed exactly."""
+        heap = cls.heap
+        mark = heap[0][0]
+        bound = mark + 2.0 * _DRIFT * (mark + cls.clock)
+        if len(heap) < 2 or (heap[1][0] > bound and (len(heap) < 3 or heap[2][0] > bound)):
+            return now + self._remaining(heap[0][2]) / cls.rate  # the top alone
+        best = float("inf")
+        for _, seq, flow in _near(heap, bound):
+            if flow.seq == seq:
+                best = min(best, now + self._remaining(flow) / cls.rate)
+        return best
+
+    def _next_event_class(self, now: float) -> float:
+        """The oracle's event instant: bounds prune, candidates are exact."""
+        waiting = self._waiting
+        if waiting and waiting[0][0] <= now:
+            self._activate(now)
+        slack = _SLACK * (now + 1.0)
+        if self._dirty or now >= self._horizon - slack:
+            self._refresh(now)
+        best = float("inf")
+        while waiting and waiting[0][2].seq != waiting[0][1]:
+            heapq.heappop(waiting)
+        if waiting:
+            best = waiting[0][0]
+        # Already-empty flows complete as soon as their data start elapses.
+        for flow in self._finished:
+            best = min(best, max(flow.data_start, now))
+        due = self._due
+        while due and due[0][2].due != due[0][1]:
+            heapq.heappop(due)
+        # The first class's exact finish tightens the bound the rest are
+        # pruned against; a cached link boundary is an upper bound too.
+        bound = min(best, self._horizon + slack)
+        if due and due[0][0] <= bound:
+            top = due[0]
+            best = min(best, self._finish_of(top[2], now))
+            bound = min(best, bound)
+            if len(due) > 1 and (due[1][0] <= bound or (len(due) > 2 and due[2][0] <= bound)):
+                for _, seq, cls in _near(due, bound):
+                    if cls.due == seq and seq != top[1]:
+                        best = min(best, self._finish_of(cls, now))
+        if self._horizon - slack <= best:
+            for hop in self._hops.values():
+                if hop.classes and hop.hi - slack <= best:
+                    best = min(best, now + hop.link.trace.time_to_next_change(now))
+        self._ready = now
+        return best
+
+    def _advance_class(self, now: float, to_time: float) -> list[Completion]:
+        if self._ready != now:
+            self._activate(now)
+            self._refresh(now)
+        dt = to_time - now
+        self._steps += 1
+        self.delivered_bits += self._service * dt
+        for cls in self._classes.values():
+            cls.drains.append(cls.rate * dt)
+        if self._steps % _RECORD == 0:  # settle every member, drop the records
+            for cls in self._classes.values():
+                for _, seq, flow in cls.heap:
+                    if flow.seq == seq:
+                        self._remaining(flow)
+                del cls.drains[1:]
+                cls.base = self._steps
+        finished: list[_PathFlow] = []
+        due = self._due
+        for _, seq, cls in _near(due, to_time) if due and due[0][0] <= to_time else ():
+            if cls.due != seq:
+                continue
+            # Members within drift of a finish threshold are checked
+            # exactly, as the oracle checks all.
+            clock = cls.clock + cls.rate * (to_time - cls.t_ref)
+            bound = (clock + cls.tmax) * (1.0 + 3.0 * _DRIFT)
+            for _, fseq, flow in _near(cls.heap, bound):
+                if flow.seq == fseq and self._remaining(flow) <= _finish_threshold(
+                    flow.total_bits
+                ):
+                    finished.append(flow)
+        for flow in finished:
+            # Flush the sub-threshold residue, as the oracle does.
+            self._detach(flow)
+            self.delivered_bits += flow.remaining_bits
+            flow.remaining_bits = 0.0
+        if self._finished:
+            finished.extend(f for f in self._finished if f.data_start <= to_time)
         if not finished:
             return []
         finished.sort(key=lambda f: f.flow_id)
@@ -627,160 +768,19 @@ class PathScheduler:
     # ------------------------------------------------------------------
     def _account(self, flow: _PathFlow, bits: float) -> None:
         """Charge ``bits`` to every hop the flow traverses (series)."""
-        if bits == 0.0:
-            return
-        for link in flow.path.links:
+        for link in flow.path.links if bits else ():
             link.delivered_bits += bits
 
     def _remove(self, flow: _PathFlow) -> None:
-        if self.engine == "vector" and flow.slot >= 0:
-            # Deferred per-link accounting: everything the flow drained
-            # over its lifetime crosses each hop exactly once, charged as
-            # it leaves the pool (completion or cancellation).  The solo
-            # fast path accounts explicitly before removing, but such a
-            # flow is untouched (remaining == total), so its crossed
-            # bits here are zero — no double counting.
-            rem = float(self._vec.remaining[flow.slot])
-            flow.remaining_bits = rem
-            crossed = flow.total_bits - rem
-            if crossed > 0.0:
-                for link in flow.path.links:
-                    link.delivered_bits += crossed
+        self._ready = None
+        self._detach(flow)
+        crossed = flow.total_bits - flow.remaining_bits
+        self._crossed += crossed
+        self._crossed_hops += crossed * len(flow.path.links)
         del self._flows[flow.flow_id]
         for link in flow.path.links:
             del self._link_flows[id(link)][flow.flow_id]
-        if self.engine == "vector":
-            self._vec.remove(flow)
-
-
-_EMPTY = np.empty(0)
-
-
-class _VectorState:
-    """Slot-indexed array state behind the vector engine.
-
-    Each in-flight flow owns one row across a set of parallel arrays plus
-    one row of the ``hops`` matrix, whose entries are indices into
-    ``link_list`` (index 0 is a padding sentinel for paths shorter than
-    the matrix width).  Slots are recycled through a free list, so a
-    steady-state fleet allocates nothing per event; arrays double when
-    the high-water mark is hit.
-    """
-
-    _INITIAL_SLOTS = 64
-
-    def __init__(self) -> None:
-        cap = self._INITIAL_SLOTS
-        self.n_slots = 0  # high-water mark
-        self.free: list[int] = []
-        self.flow_of: list[_PathFlow | None] = [None] * cap
-        self.data_start = np.zeros(cap)
-        self.remaining = np.zeros(cap)
-        self.total = np.zeros(cap)
-        self.weight = np.zeros(cap)
-        #: per-flow finish threshold, precomputed at add time (the value
-        #: ``max(_FINISH_RTOL * total, _FINISH_ATOL)`` the scalar engine
-        #: derives per event)
-        self.thresh = np.zeros(cap)
-        self.alive = np.zeros(cap, dtype=bool)
-        self.hops = np.zeros((cap, 2), dtype=np.intp)
-        #: index 0 reserved as the padding sentinel
-        self.link_list: list[SharedLink | None] = [None]
-        self.link_index: dict[int, int] = {}
-        self.weighted_links: list[int] = []
-        self.is_weighted = np.zeros(1, dtype=bool)
-        #: flows already at zero remaining bits that still await their
-        #: completion report: zero-byte transfers (complete at their
-        #: data_start) and solo flows fully drained by an out-of-band
-        #: ``sync`` — neither shows up in the active-drain pass.
-        self.finished: list[_PathFlow] = []
-        #: bumped on any state change; keys the allocation cache
-        self.version = 0
-        self.alloc_cache: tuple | None = None
-        #: per-link current trace segment, ``li -> (trace, lo, hi, bw)``
-        #: in trace-local time; revalidated by ``_link_seg``
-        self.seg_cache: dict[int, tuple] = {}
-
-    def add(self, flow: _PathFlow) -> None:
-        links = flow.path.links
-        grew_links = False
-        for link in links:
-            if id(link) not in self.link_index:
-                li = len(self.link_list)
-                self.link_index[id(link)] = li
-                self.link_list.append(link)
-                if link.policy == "weighted":
-                    self.weighted_links.append(li)
-                grew_links = True
-        if grew_links:
-            self.is_weighted = np.array(
-                [l is not None and l.policy == "weighted" for l in self.link_list]
-            )
-        if self.free:
-            s = self.free.pop()
-        else:
-            if self.n_slots == len(self.alive):
-                self._grow_rows()
-            s = self.n_slots
-            self.n_slots += 1
-        if len(links) > self.hops.shape[1]:
-            self._grow_cols(len(links))
-        flow.slot = s
-        self.flow_of[s] = flow
-        self.data_start[s] = flow.data_start
-        self.remaining[s] = flow.remaining_bits
-        self.total[s] = flow.total_bits
-        self.weight[s] = flow.weight
-        self.thresh[s] = max(_FINISH_RTOL * flow.total_bits, _FINISH_ATOL)
-        row = self.hops[s]
-        row[:] = 0
-        for j, link in enumerate(links):
-            row[j] = self.link_index[id(link)]
-        self.alive[s] = True
-        if flow.total_bits == 0.0:
-            self.finished.append(flow)
-        self.version += 1
-
-    def remove(self, flow: _PathFlow) -> None:
-        s = flow.slot
-        self.alive[s] = False
-        self.flow_of[s] = None
-        self.free.append(s)
-        flow.slot = -1
-        if flow in self.finished:
-            self.finished.remove(flow)
-        self.version += 1
-
-    def write_remaining(self, flow: _PathFlow) -> None:
-        """Mirror an out-of-band drain (``sync``) into the arrays.
-
-        A sync that empties the flow entirely (a deferred request landing
-        exactly on the solo finish) must also queue it for completion:
-        with zero remaining bits it is invisible to the active-drain
-        pass, and the scalar engine's full-pool scan has no vector
-        equivalent.
-        """
-        self.remaining[flow.slot] = flow.remaining_bits
-        if flow.remaining_bits <= 0.0 and flow not in self.finished:
-            self.finished.append(flow)
-        self.version += 1
-
-    def _grow_rows(self) -> None:
-        def doubled(a: np.ndarray) -> np.ndarray:
-            out = np.zeros((len(a) * 2,) + a.shape[1:], dtype=a.dtype)
-            out[: len(a)] = a
-            return out
-
-        self.data_start = doubled(self.data_start)
-        self.remaining = doubled(self.remaining)
-        self.total = doubled(self.total)
-        self.weight = doubled(self.weight)
-        self.thresh = doubled(self.thresh)
-        self.alive = doubled(self.alive)
-        self.hops = doubled(self.hops)
-        self.flow_of.extend([None] * (len(self.alive) - len(self.flow_of)))
-
-    def _grow_cols(self, n_hops: int) -> None:
-        wide = np.zeros((len(self.hops), n_hops), dtype=self.hops.dtype)
-        wide[:, : self.hops.shape[1]] = self.hops
-        self.hops = wide
+        if self.engine == "class":
+            # Everything the flow drained crosses each hop exactly once,
+            # charged as it leaves the pool (completion or cancellation).
+            self._account(flow, crossed)

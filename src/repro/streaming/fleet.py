@@ -583,9 +583,9 @@ def simulate_fleet(
     sharing policies, so combining it with a non-default ``policy`` is
     rejected rather than silently ignored.  ``scheduler_engine`` selects
     the :class:`~repro.net.topology.PathScheduler` implementation
-    (``"vector"`` array math by default, ``"scalar"`` the bit-exact
-    reference oracle); its deprecated alias ``engine=`` still works and
-    warns.
+    (``"class"``, one virtual clock per path class, by default;
+    ``"scalar"`` the reference oracle it matches bit for bit); its
+    deprecated alias ``engine=`` still works and warns.
 
     ``session_engine`` (deprecated alias ``fleet_engine=``) selects the
     *session* layer independently of the network scheduler:
@@ -732,7 +732,7 @@ def simulate_fleet(
             policy=policy,
             sr_cache=sr_cache,
             scheduler_engine=(
-                scheduler_engine if scheduler_engine is not None else "vector"
+                scheduler_engine if scheduler_engine is not None else "class"
             ),
             session_engine=(
                 session_engine if session_engine is not None else "machine"
@@ -1197,6 +1197,36 @@ def simulate_fleet(
             return cols.decide(ids, clamp=clamp)
         return _batched_decisions(machines, ids, clamp=clamp)
 
+    def _live_loads() -> tuple[list[bool], list[int]]:
+        """Per-session finished flags and live sessions per edge."""
+        finished = (
+            cols.finished_flags()
+            if cols is not None
+            else [m.finished for m in machines]
+        )
+        load = [0] * n_edges
+        if topology is not None:
+            for sid, fin in enumerate(finished):
+                if not fin:
+                    load[assignment[sid]] += 1
+        return finished, load
+
+    def _resteer(sid: int, target: int, load: list[int] | None = None) -> None:
+        """Move session ``sid`` to edge ``target``; its per-edge SR cache
+        follows, and ``load`` (when given) stays the live per-edge count."""
+        nonlocal resteered_total
+        if load is not None:
+            load[assignment[sid]] -= 1
+            load[target] += 1
+        assignment[sid] = target
+        if per_edge_sr:
+            new_cache = topology.edges[target].sr_cache
+            if cols is not None:
+                cols.sr_caches[sid] = new_cache
+            else:
+                machines[sid].sr_cache = new_cache
+        resteered_total += 1
+
     def _evacuate(edge_idx: int, t: float) -> None:
         """Fail edge ``edge_idx`` over at instant ``t``: re-steer its
         viewers to the least-loaded live edges, cancel its in-flight
@@ -1207,7 +1237,7 @@ def simulate_fleet(
         columnar session layers expose the finished flags and SR-cache
         slots this needs.
         """
-        nonlocal resteered_total, origin_egress
+        nonlocal origin_egress
         assert topology is not None and faults is not None
         edge = topology.edges[edge_idx]
         # Outstanding work riding the dead edge, captured before any
@@ -1252,31 +1282,14 @@ def simulate_fleet(
             if e2 == edge_idx and start <= until:
                 until = max(until, end)
         live = [e for e in range(n_edges) if not edge_down[e]]
-        finished = (
-            cols.finished_flags()
-            if cols is not None
-            else [m.finished for m in machines]
-        )
-        load = [0] * n_edges
-        for sid, fin in enumerate(finished):
-            if not fin:
-                load[assignment[sid]] += 1
+        finished, load = _live_loads()
         for sid, fin in enumerate(finished):
             if fin or assignment[sid] != edge_idx:
                 continue
             if sessions[sid].join_time >= until:
                 continue
             target = min(live, key=lambda e: (load[e], e))
-            load[edge_idx] -= 1
-            load[target] += 1
-            assignment[sid] = target
-            if per_edge_sr:
-                new_cache = topology.edges[target].sr_cache
-                if cols is not None:
-                    cols.sr_caches[sid] = new_cache
-                else:
-                    machines[sid].sr_cache = new_cache
-            resteered_total += 1
+            _resteer(sid, target, load)
             if tracer is not None:
                 tracer.emit(
                     t, EV_SESSION_RESTEER, session=sid, reason="outage",
@@ -1486,6 +1499,9 @@ def simulate_fleet(
                 # bank any solo flow's progress first (same contract as
                 # the deferred release below).
                 sched.sync(t)
+            # Live per-edge loads, once per batch: within it only the
+            # hedges below move sessions, and _resteer keeps them current.
+            hedge_load = _live_loads()[1] if fired and retry_policy.hedge else None
             for sid in fired:
                 req, edge_idx, kind = live_req.pop(sid)
                 edge = topology.edges[edge_idx]
@@ -1537,31 +1553,15 @@ def simulate_fleet(
                 # live edge and skips the backoff wait (the point of a
                 # hedge is to race a fresh path, not to sit out).
                 hedged_now = False
-                if retry_policy.hedge:
-                    finished = (
-                        cols.finished_flags()
-                        if cols is not None
-                        else [m.finished for m in machines]
-                    )
-                    load = [0] * n_edges
-                    for s2, fin in enumerate(finished):
-                        if not fin:
-                            load[assignment[s2]] += 1
+                if hedge_load is not None:
                     candidates = [
                         e for e in range(n_edges)
                         if e != edge_idx and not edge_down[e]
                     ]
                     if candidates:
-                        target = min(candidates, key=lambda e: (load[e], e))
-                        assignment[sid] = target
-                        if per_edge_sr:
-                            new_cache = topology.edges[target].sr_cache
-                            if cols is not None:
-                                cols.sr_caches[sid] = new_cache
-                            else:
-                                machines[sid].sr_cache = new_cache
+                        target = min(candidates, key=lambda e: (hedge_load[e], e))
+                        _resteer(sid, target, hedge_load)
                         rstate.hedged += 1
-                        resteered_total += 1
                         hedged_now = True
                         if tracer is not None:
                             tracer.emit(
@@ -1600,12 +1600,9 @@ def simulate_fleet(
                     if rh is not None:
                         rtracker.sample(t, rh)
             finished_flags: list[bool] = []
+            loads: list[int] = []
             if metrics is not None or controller is not None:
-                finished_flags = (
-                    cols.finished_flags()
-                    if cols is not None
-                    else [m.finished for m in machines]
-                )
+                finished_flags, loads = _live_loads()
             if metrics is not None:
                 active = 0
                 buf_sum = 0.0
@@ -1625,13 +1622,9 @@ def simulate_fleet(
                     t, buf_sum / active if active else 0.0
                 )
                 if topology is not None:
-                    mloads = [0] * n_edges
-                    for sid, fin in enumerate(finished_flags):
-                        if not fin:
-                            mloads[assignment[sid]] += 1
                     for e in range(n_edges):
                         metrics.timeseries(f"edge.load.{e}").record(
-                            t, mloads[e]
+                            t, loads[e]
                         )
                     oqueue = topology.origin.queue
                     metrics.timeseries("origin.encode_busy").record(
@@ -1642,14 +1635,12 @@ def simulate_fleet(
                     )
             if controller is not None:
                 assert topology is not None
-                loads = [0] * n_edges
                 by_edge: dict[int, list[int]] = {
                     e: [] for e in range(n_edges)
                 }
                 for sid, fin in enumerate(finished_flags):
                     if not fin:
                         by_edge[assignment[sid]].append(sid)
-                        loads[assignment[sid]] += 1
                 waits = topology.origin.queue.waits
                 new_waits = tuple(waits[encode_waits_seen:])
                 encode_waits_seen = len(waits)
@@ -1689,14 +1680,7 @@ def simulate_fleet(
                             reason="control", from_edge=assignment[sid],
                             to_edge=target,
                         )
-                    assignment[sid] = target
-                    if per_edge_sr:
-                        new_cache = topology.edges[target].sr_cache
-                        if cols is not None:
-                            cols.sr_caches[sid] = new_cache
-                        else:
-                            machines[sid].sr_cache = new_cache
-                    resteered_total += 1
+                    _resteer(sid, target)
                 if actions.quality_cap is not None:
                     decision_cap = actions.quality_cap
                 if actions.sr_enabled is not None:
@@ -1753,6 +1737,9 @@ def simulate_fleet(
             r is not None for r in results
         ), "fleet left unfinished sessions"
     assert not fill_waiters, "fleet left coalesced requests waiting"
+    # Byte conservation of the fluid layer: every flow drained, and the
+    # pool and per-link totals agree with the bits each flow crossed.
+    sched.check()
     ops = None
     if monitor or resilience:
         # A retry policy without faults still needs its counters surfaced

@@ -592,7 +592,7 @@ def shard_fleet(
             topology=topology,
             sr_cache=sr_cache,
             scheduler_engine=(
-                scheduler_engine if scheduler_engine is not None else "vector"
+                scheduler_engine if scheduler_engine is not None else "class"
             ),
             session_engine=(
                 session_engine if session_engine is not None else "machine"

@@ -54,7 +54,7 @@ class FleetSpec:
     topology: "CDNTopology | None" = None
     policy: str = "fair"
     sr_cache: "SRResultCache | str | None" = None
-    scheduler_engine: str = "vector"
+    scheduler_engine: str = "class"
     session_engine: str = "machine"
     assignment: list[int] | None = None
     faults: "FaultSchedule | None" = None

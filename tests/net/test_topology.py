@@ -1,17 +1,24 @@
 """Multi-link path properties: one-hop parity, engine parity, accounting.
 
 The scheduler ships two engines behind one contract: ``scalar`` (per-flow
-Python loops, the reference oracle) and ``vector`` (one array pass per
-event step, the default).  Following the repo's oracle-parity convention
+Python loops, the reference oracle) and ``class`` (one virtual clock per
+path class, the default).  Following the repo's oracle-parity convention
 (kNN backends, the MPC planner), every property here runs against both
-engines, and :class:`TestEngineParity` drives the two engines over the
-same hypothesis-generated multi-hop workloads asserting bit-identical
-completion streams.
+engines, and :class:`TestEngineParity` and :class:`EngineParityMachine`
+drive the two engines over the same multi-hop workloads asserting
+bit-identical completion streams (stated tolerance: zero).
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.net import (
     SCHEDULER_ENGINES,
@@ -23,14 +30,22 @@ from repro.net import (
     path_download_time,
     stable_trace,
 )
+from repro.net import topology
+from repro.streaming.faults import DegradedTrace
 
 
 def drive(engine):
     """Run an engine's event loop to completion; return all completions."""
-    now, out = 0.0, []
+    return drive_from(engine, 0.0)
+
+
+def drive_from(engine, now):
+    """Run an engine's event loop from ``now`` to completion."""
+    out = []
     guard = 0
     while engine.busy():
         t = engine.next_event(now)
+        assert t < float("inf"), "busy pool has no next event"
         out += engine.advance(now, t)
         now = t
         guard += 1
@@ -194,13 +209,13 @@ engine_flow_lists = st.lists(
 
 
 class TestEngineParity:
-    """vector == scalar, bit for bit, on multi-hop shared-link pools.
+    """class == scalar, bit for bit, on multi-hop shared-link pools.
 
     The grid mixes weights, staggered starts, gated (``extra_delay``)
     flows, and one/two/three-hop paths sharing links — the full surface
     the CDN fleet exercises.  Completions must compare equal field for
-    field; per-link byte accounting agrees to float tolerance (the
-    engines sum drained bits in different orders).
+    field; per-link byte accounting agrees to float tolerance (the class
+    engine sums drained bits per class and charges links as flows leave).
     """
 
     def build(self, engine, flows, policy, mean, seed):
@@ -235,32 +250,33 @@ class TestEngineParity:
     )
     def test_bit_exact_multihop_completions(self, flows, policy, mean, seed):
         scalar, s_links = self.build("scalar", flows, policy, mean, seed)
-        vector, v_links = self.build("vector", flows, policy, mean, seed)
-        assert drive(scalar) == drive(vector)
-        assert vector.delivered_bits == pytest.approx(scalar.delivered_bits)
-        for sl, vl in zip(s_links, v_links):
-            assert vl.delivered_bits == pytest.approx(sl.delivered_bits)
+        klass, c_links = self.build("class", flows, policy, mean, seed)
+        assert drive(scalar) == drive(klass)
+        assert klass.delivered_bits == pytest.approx(scalar.delivered_bits)
+        for sl, cl in zip(s_links, c_links):
+            assert cl.delivered_bits == pytest.approx(sl.delivered_bits)
+        scalar.check()
+        klass.check()
 
     def test_weighted_denominator_beyond_pairwise_block(self):
-        """20 weighted flows on one hop: NumPy's pairwise summation
-        diverges from Python's sequential ``sum`` at 8+ terms, so the
-        vector engine must fall back to an insertion-order sum for the
-        weighted share denominator.  20 concurrent flows pin that."""
+        """20 weighted flows, each its own class, over shared hops: the
+        class engine must sum each weighted hop's share denominator over
+        its active flows in insertion order, as the oracle does, not per
+        class (float addition is order-sensitive)."""
         flows = [
             (1_000_000 + 37 * i, 0.25 * (i % 3), 0.3 + 0.17 * i, i % 4, 0.0)
             for i in range(20)
         ]
         scalar, _ = self.build("scalar", flows, "weighted", 60.0, 2)
-        vector, _ = self.build("vector", flows, "weighted", 60.0, 2)
-        assert drive(scalar) == drive(vector)
+        klass, _ = self.build("class", flows, "weighted", 60.0, 2)
+        assert drive(scalar) == drive(klass)
 
     def test_weighted_single_link_pool_beyond_pairwise(self):
-        """The vector engine's one-link fast path must also sum weighted
-        denominators in insertion order — pinned against bare SharedLink
-        with 12 concurrent flows."""
+        """12 concurrent weighted flows in 12 classes on one link, pinned
+        against bare SharedLink."""
         trace = lte_trace(50, 15, duration=90.0, seed=3)
         shared = SharedLink(trace, policy="weighted")
-        sched = PathScheduler(engine="vector")
+        sched = PathScheduler(engine="class")
         path = NetworkPath((SharedLink(trace, policy="weighted"),))
         for fid in range(12):
             nbytes = 800_000 + 12_345 * fid
@@ -275,8 +291,21 @@ class TestEngineParity:
             (500_000 + 991 * i, 0.1 * i, 1.0, i % 4, 0.0) for i in range(24)
         ]
         scalar, _ = self.build("scalar", flows, "fair", 45.0, 5)
-        vector, _ = self.build("vector", flows, "fair", 45.0, 5)
-        assert drive(scalar) == drive(vector)
+        klass, _ = self.build("class", flows, "fair", 45.0, 5)
+        assert drive(scalar) == drive(klass)
+
+    def test_settled_drain_records_stay_bit_exact(self, monkeypatch):
+        """The class engine settles its drain records every ``_RECORD``
+        event steps; a three-step period exercises that on a short run."""
+        monkeypatch.setattr(topology, "_RECORD", 3)
+        flows = [
+            (700_000 + 991 * i, 0.15 * i, 0.5 + 0.5 * (i % 2), i % 4, 0.0)
+            for i in range(24)
+        ]
+        for policy in ("fair", "weighted"):
+            scalar, _ = self.build("scalar", flows, policy, 45.0, 5)
+            klass, _ = self.build("class", flows, policy, 45.0, 5)
+            assert drive(scalar) == drive(klass)
 
     def test_sync_mid_flight_injection_parity(self):
         """The fleet's deferred-release pattern: sync() at an arbitrary
@@ -298,7 +327,7 @@ class TestEngineParity:
     def test_sync_draining_solo_to_zero_still_completes(self):
         """A deferred request landing at (or past) the solo flow's finish
         makes sync() empty it outright; the emptied flow must still be
-        reported — the vector engine used to lose it and spin forever."""
+        reported, not lost with the pool spinning forever."""
         results = []
         for engine in SCHEDULER_ENGINES:
             path = NetworkPath((SharedLink(stable_trace(80.0)),))
@@ -315,6 +344,167 @@ class TestEngineParity:
     def test_engine_validation(self):
         with pytest.raises(ValueError, match="engine"):
             PathScheduler(engine="quantum")
+
+
+class EngineParityMachine(RuleBasedStateMachine):
+    """Drive ``class`` and ``scalar`` side by side through interleaved
+    adds (gated, zero-byte, weighted, multi-hop, over a ``DegradedTrace``
+    hop), cancels, syncs and steps, re-using flow ids the way the fleet
+    re-issues a cancelled session's request.  After every rule both pools
+    hold the same flows and have reported bit-identical completions, in
+    the same order.  ``jump`` reproduces the two
+    ``sync`` hazards: a driver that lets virtual time run on a resolved
+    solo flow without advancing it, then syncs (mid-flight, or at its
+    finish so it is emptied outright).
+    """
+
+    @initialize(policy=st.sampled_from(["fair", "weighted"]))
+    def build(self, policy):
+        self.now = 0.0
+        self.pools = {}
+        self.done = {engine: [] for engine in SCHEDULER_ENGINES}
+        for engine in SCHEDULER_ENGINES:
+            degraded = DegradedTrace(
+                stable_trace(30.0, duration=60.0, rtt=0.002),
+                [(2.0, 5.0, 0.5), (4.0, 9.0, 0.25)],
+            )
+            links = [
+                SharedLink(lte_trace(40, 12, duration=60.0, seed=1), policy=policy),
+                SharedLink(stable_trace(60.0, duration=60.0, rtt=0.005)),
+                SharedLink(degraded, policy=policy),
+            ]
+            paths = [
+                NetworkPath((links[0],)),
+                NetworkPath((links[0], links[1])),
+                NetworkPath((links[1], links[2])),
+                NetworkPath((links[0], links[1], links[2])),
+                NetworkPath((links[2],)),
+            ]
+            self.pools[engine] = (PathScheduler(engine=engine), paths)
+
+    def scheds(self):
+        return [pool[0] for pool in self.pools.values()]
+
+    @rule(
+        fid=st.integers(0, 7),
+        nbytes=st.sampled_from([0, 1, 400, 250_000, 1_000_000, 3_000_000]),
+        offset=st.sampled_from([0.0, 0.0, 0.3, 1.5]),
+        weight=st.sampled_from([1.0, 0.5, 1.7, 3.0]),
+        path_i=st.integers(0, 4),
+        delay=st.sampled_from([0.0, 0.0, 0.4, 2.0]),
+    )
+    def add(self, fid, nbytes, offset, weight, path_i, delay):
+        for sched, paths in self.pools.values():
+            if sched.has_flow(fid):
+                return
+            sched.sync(self.now)
+            sched.add_flow(
+                fid, nbytes, self.now + offset, paths[path_i],
+                weight=weight, extra_delay=delay,
+            )
+
+    @precondition(lambda self: self.scheds()[0].busy())
+    @rule(data=st.data())
+    def cancel(self, data):
+        fid = data.draw(st.sampled_from(sorted(self.scheds()[0]._flows)))
+        for sched in self.scheds():
+            sched.sync(self.now)
+            sched.cancel(fid)
+
+    @rule()
+    def sync(self):
+        for sched in self.scheds():
+            sched.sync(self.now)
+
+    @rule(dt=st.floats(min_value=0.01, max_value=4.0))
+    def step(self, dt):
+        target = self.now + dt
+        for engine, sched in zip(self.pools, self.scheds()):
+            now = self.now
+            while sched.busy():
+                t = sched.next_event(now)
+                if t > target:
+                    sched.advance(now, target)
+                    break
+                self.done[engine] += sched.advance(now, t)
+                now = t
+        self.now = target
+
+    @precondition(lambda self: self.pools["scalar"][0]._solo_flow() is not None)
+    @rule(dt=st.sampled_from([0.05, 0.5, 30.0]))
+    def jump(self, dt):
+        # Like any driver, never pass an event: at most up to the solo
+        # finish, where sync() empties the flow outright.
+        finish = min(sched.next_event(self.now) for sched in self.scheds())
+        self.now = max(self.now, min(self.now + dt, finish))
+        for sched in self.scheds():
+            sched.sync(self.now)
+
+    @invariant()
+    def same_pools(self):
+        scalar, klass = (self.pools[e][0] for e in ("scalar", "class"))
+        assert klass.n_flows == scalar.n_flows
+        assert sorted(klass._flows) == sorted(scalar._flows)
+        assert self.done["class"] == self.done["scalar"]
+
+    def teardown(self):
+        if not hasattr(self, "pools"):
+            return
+        for engine, sched in zip(self.pools, self.scheds()):
+            self.done[engine] += drive_from(sched, self.now)
+            sched.check()
+        self.same_pools()
+
+
+EngineParityMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=25, deadline=None
+)
+TestEngineParityMachine = EngineParityMachine.TestCase
+
+
+class TestSchedulerCheck:
+    """``check()`` pins the byte identities and names the broken one."""
+
+    def pool(self, engine):
+        backhaul = SharedLink(lte_trace(30, 9, duration=60.0, seed=4))
+        access = SharedLink(stable_trace(50.0, duration=60.0))
+        sched = PathScheduler(engine=engine)
+        for fid in range(4):
+            links = (backhaul, access) if fid % 2 else (access,)
+            sched.add_flow(fid, 2_000_000 + fid, 0.1 * fid, NetworkPath(links))
+        return sched
+
+    def test_drained_pool_passes(self, engine):
+        sched = self.pool(engine)
+        drive(sched)
+        sched.check()
+
+    def test_flow_in_flight_fails(self, engine):
+        sched = self.pool(engine)
+        with pytest.raises(RuntimeError, match="still in flight"):
+            sched.check()
+
+    def test_corrupted_clock_trips_check(self):
+        sched = self.pool("class")
+        now = 0.0
+        for _ in range(4):
+            t = sched.next_event(now)
+            sched.advance(now, t)
+            now = t
+        cls = next(iter(sched._classes.values()))
+        # Halve the last step of one class's clock (its record of bits
+        # served per member): its members drain less than the pool counted.
+        cls.drains[-1] *= 0.5
+        drive_from(sched, now)
+        with pytest.raises(RuntimeError, match="pool delivered_bits"):
+            sched.check()
+
+    def test_link_charge_mismatch_trips_check(self, engine):
+        sched = self.pool(engine)
+        drive(sched)
+        next(iter(sched._links.values())).delivered_bits += 8.0
+        with pytest.raises(RuntimeError, match="link delivered_bits"):
+            sched.check()
 
 
 class TestValidation:

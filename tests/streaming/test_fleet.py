@@ -2,11 +2,19 @@
 
 import pytest
 
+from repro.experiments import make_cdn, make_population
+from repro.experiments.common import SMOKE
 from repro.metrics import QoEModel
 from repro.net import lte_trace, stable_trace
 from repro.streaming import (
     ContinuousMPC,
+    ControlPlane,
+    ControlPolicy,
+    CorrelatedFaultGenerator,
+    FaultSchedule,
     FleetSession,
+    GrayFailure,
+    RetryPolicy,
     SessionConfig,
     SRQualityModel,
     SRResultCache,
@@ -117,7 +125,7 @@ class TestSingleSessionParity:
 
 
 class TestEngineParityEndToEnd:
-    """scalar vs vector PathScheduler through the whole fleet stack."""
+    """scalar vs class PathScheduler through the whole fleet stack."""
 
     def make_sessions(self):
         qm = SRQualityModel()
@@ -142,7 +150,7 @@ class TestEngineParityEndToEnd:
                 self.make_sessions(), trace, policy="weighted",
                 sr_cache=SRResultCache(), scheduler_engine=engine,
             )
-            for engine in ("scalar", "vector")
+            for engine in ("scalar", "class")
         ]
         a, b = runs
         for ra, rb in zip(a.sessions, b.sessions):
@@ -151,6 +159,79 @@ class TestEngineParityEndToEnd:
             assert ra.stall_seconds == rb.stall_seconds
             assert ra.decisions == rb.decisions
         assert a.report.makespan == b.report.makespan
+
+
+class TestClassEngineDrift:
+    """class vs scalar on a small chaos-shaped fleet: a CDN in two
+    regions, a gray edge that browns out and drops requests, a rolling
+    regional outage, timeouts with hedging, and a control plane.
+
+    The drift budget for a scheduler engine is watched content-s and
+    chunk completions within 1%, ``stall_ratio`` and ``abandon_rate``
+    within 0.01, ``mean_qoe`` within 0.1.  Gray-failure drops hash the
+    request instant, so a single ulp of timing drift re-rolls a draw and
+    the runs diverge chaotically; the class engine stays inside the
+    budget by being bit-exact, which this also pins.
+    """
+
+    VIEWERS = 60
+
+    def inputs(self):
+        window = float(SMOKE.stream_seconds)
+        topology = make_cdn(
+            SMOKE, self.VIEWERS, n_edges=8, mbps_per_session=20.0,
+            assignment="least-loaded", n_regions=2,
+        )
+        incident = CorrelatedFaultGenerator(
+            seed=0, cascade_probability=1.0, cascade_delay_s=0.2 * window
+        ).generate(
+            list(topology.regions), origin="region-0",
+            start=0.3 * window, duration=0.15 * window,
+        )
+        gray = GrayFailure(
+            edge=topology.regions["region-1"][0], start=0.1 * window,
+            duration=0.2 * window, capacity_factor=0.5, drop_fraction=0.1,
+            drop_delay_s=1.0,
+        )
+        return dict(
+            sessions=make_population(SMOKE, self.VIEWERS, abr="bola", seed=0),
+            topology=topology,
+            faults=FaultSchedule(incident.events + (gray,)),
+            retry_policy=RetryPolicy(
+                timeout_s=1.5, backoff_base_s=0.25, backoff_cap_s=1.0,
+                max_attempts=3, hedge=True,
+            ),
+            controller=ControlPlane(ControlPolicy(
+                interval=5.0, quality_cap_when_dark=0.5,
+                disable_sr_when_dark=True,
+            )),
+        )
+
+    def test_outcomes_within_drift_budget(self):
+        a, b = (
+            simulate_fleet(**self.inputs(), scheduler_engine=engine)
+            for engine in ("scalar", "class")
+        )
+        ra, rb = a.report, b.report
+        assert rb.requests_hedged > 0 and rb.sessions_resteered > 0
+        assert rb.gray_degraded_bytes > 0
+        watched = [sum(s.watched_seconds for s in r.sessions) for r in (a, b)]
+        chunks = [sum(s.n_chunks for s in r.sessions) for r in (a, b)]
+        assert watched[1] == pytest.approx(watched[0], rel=0.01)
+        assert chunks[1] == pytest.approx(chunks[0], rel=0.01)
+        assert rb.stall_ratio == pytest.approx(ra.stall_ratio, abs=0.01)
+        assert rb.abandon_rate == pytest.approx(ra.abandon_rate, abs=0.01)
+        assert rb.mean_qoe == pytest.approx(ra.mean_qoe, abs=0.1)
+        # Zero drift: every outcome is bit-identical.
+        assert rb == ra
+        assert b.sessions == a.sessions
+        assert b.end_times == a.end_times
+
+    def test_repeated_runs_identical(self):
+        a = simulate_fleet(**self.inputs())
+        b = simulate_fleet(**self.inputs())
+        assert a.report == b.report
+        assert a.sessions == b.sessions
 
 
 class TestDeterminism:

@@ -149,7 +149,7 @@ class TestSpecShimBitExact:
             simulate_fleet(
                 make_sessions(),
                 topology=make_topology(),
-                scheduler_engine="vector",
+                scheduler_engine="class",
                 session_engine="machine",
             )
 
@@ -177,7 +177,7 @@ class TestSpecMixingRules:
                 make_sessions(),
                 topology=make_topology(),
                 engine="scalar",
-                scheduler_engine="vector",
+                scheduler_engine="class",
             )
         with pytest.raises(ValueError, match="not both"):
             simulate_fleet(
