@@ -1,12 +1,14 @@
-"""MPC planner micro-benchmark: vectorized vs scalar-oracle wall time.
+"""MPC planner micro-benchmark: tensor pass, one-row kernel, scalar oracle.
 
-The vectorized planner is the mechanism that keeps large-fleet simulation
-wall time flat, so this lane fails loudly if it regresses:
+The planner is the mechanism that keeps large-fleet simulation wall time
+flat, so this lane fails loudly if it regresses:
 
 * ``test_vectorized_speedup_at_fleet_scale`` asserts the acceptance
   floor — ≥5x over the scalar oracle at 64 candidates × 100 sessions;
 * the ``benchmark``-fixture lanes track the absolute per-call costs of
-  ``decide_batch`` (one tensor pass) and the scalar reference loop.
+  ``decide_batch`` (one tensor pass), the fleet's own call shape (one
+  row, 16 candidates, horizon 3, through the one-row kernel), and the
+  scalar reference loop.
 
 Runs in the fast benchmarks lane (`pytest benchmarks -m "not slow"`).
 """
@@ -25,22 +27,27 @@ from repro.streaming.latency import MeasuredSRLatency
 N_SESSIONS = 100
 N_GRID = 64
 HORIZON = 5
+#: the planner call the fleet makes: one row, 16 candidates, horizon 3
+FLEET_GRID = 16
+FLEET_HORIZON = 3
 
 #: acceptance floor: vectorized decide_batch speedup over the scalar oracle.
 SPEEDUP_FLOOR = 5.0
 
 
-def make_mpc(n_grid: int = N_GRID) -> ContinuousMPC:
+def make_mpc(n_grid: int = N_GRID, horizon: int = HORIZON) -> ContinuousMPC:
     return ContinuousMPC(
         SRQualityModel(),
         QoEModel(),
         MeasuredSRLatency(0.001, 1e-8, 2e-8),
         n_grid=n_grid,
-        horizon=HORIZON,
+        horizon=horizon,
     )
 
 
-def make_contexts(n_sessions: int = N_SESSIONS) -> list[AbrContext]:
+def make_contexts(
+    n_sessions: int = N_SESSIONS, horizon: int = HORIZON
+) -> list[AbrContext]:
     """A varied fleet snapshot: spread throughputs, buffers, histories."""
     spec = VideoSpec(
         name="bench", n_frames=20 * 30, fps=30, points_per_frame=100_000
@@ -55,7 +62,7 @@ def make_contexts(n_sessions: int = N_SESSIONS) -> list[AbrContext]:
                 throughput_bps=float(rng.uniform(5e6, 400e6)),
                 buffer_level=float(rng.uniform(0.0, 9.0)),
                 prev_quality=None if i % 7 == 0 else float(rng.uniform(0.1, 1.0)),
-                next_chunks=chunks[start : start + HORIZON],
+                next_chunks=chunks[start : start + horizon],
             )
         )
     return ctxs
@@ -83,16 +90,10 @@ def _best_of(fn, repeats: int = 3) -> float:
 
 
 def test_vectorized_speedup_at_fleet_scale():
-    """Acceptance floor: ≥5x over the scalar oracle at 64×100.
-
-    Dedup/memoization is disabled for the timed calls: repeats on the
-    same contexts would be pure memo hits from round 2 on, and this
-    floor exists to catch the *tensor path* regressing.
-    """
+    """Acceptance floor: ≥5x over the scalar oracle at 64×100."""
     mpc = make_mpc()
     ctxs = make_contexts()
     assert mpc.decide_batch(ctxs) == scalar_decide_all(mpc, ctxs)
-    mpc.dedup = False
     scalar = _best_of(lambda: scalar_decide_all(mpc, ctxs), repeats=2)
     vectorized = _best_of(lambda: mpc.decide_batch(ctxs), repeats=5)
     speedup = scalar / vectorized
@@ -107,24 +108,21 @@ def test_vectorized_speedup_at_fleet_scale():
 
 
 def test_bench_decide_batch(benchmark):
-    """Absolute cost of one fleet-wide decision pass (64 cand × 100 ctx).
-
-    Times the tensor evaluation itself — dedup off, or every round after
-    the first would be answered from the cross-call memo.
-    """
+    """Absolute cost of one fleet-wide decision pass (64 cand × 100 ctx)."""
     mpc = make_mpc()
-    mpc.dedup = False
     ctxs = make_contexts()
     benchmark(mpc.decide_batch, ctxs)
 
 
-def test_bench_decide_batch_memoized(benchmark):
-    """Steady-state cost of the same pass when the memo is warm — the
-    decision-dedup path the fleet driver rides once states recur."""
-    mpc = make_mpc()
-    ctxs = make_contexts()
-    mpc.decide_batch(ctxs)          # warm the memo
-    benchmark(mpc.decide_batch, ctxs)
+def test_bench_decide_fleet_row(benchmark):
+    """Cost of the call the fleet makes most: one row, 16 candidates,
+    horizon 3, through ``decide_batch`` (the one-row kernel)."""
+    mpc = make_mpc(FLEET_GRID, FLEET_HORIZON)
+    # The second context has a previous quality, like every decision
+    # after a session's first.
+    row = make_contexts(2, FLEET_HORIZON)[1:]
+    assert mpc.decide_batch(row) == scalar_decide_all(mpc, row)
+    benchmark(mpc.decide_batch, row)
 
 
 def test_bench_decide_single(benchmark):

@@ -267,7 +267,7 @@ def build_reports(
             name: need(name)
             for name in (
                 "test_bench_decide_batch",
-                "test_bench_decide_batch_memoized",
+                "test_bench_decide_fleet_row",
                 "test_bench_decide_single",
                 "test_bench_scalar_reference",
             )

@@ -176,21 +176,25 @@ class Tracer:
     merged streams stay attributable.
 
     Storage is deliberately two-tier.  ``emit`` appends a plain tuple
-    ``(t, kind, session, shard, seq, data)`` — tuples and small dicts
-    of atoms are *untracked* by CPython's cyclic GC after they survive
-    one collection, so a multi-hundred-thousand-event run does not make
-    every gen-2 pass walk the whole trace (class instances are always
-    tracked; storing :class:`TraceEvent` objects directly measurably
-    slowed the 2k-viewer bench lane through GC alone).  The ``events``
-    property materializes the tuples into :class:`TraceEvent` objects
-    once, on first read, and caches them — exporters and tests see the
-    same object API as before, paid for outside the simulation loop.
+    ``(t, kind, session, shard, seq)`` and, in a parallel list, the
+    event's payload dict (or ``None``).  Tuples of atoms and dicts of
+    atoms are *untracked* by CPython's cyclic GC — a tuple after it
+    survives one collection — so a multi-hundred-thousand-event run
+    does not make every gen-2 pass walk the whole trace.  A tuple that
+    held the dict would stay tracked for life, and so would a
+    :class:`TraceEvent` (class instances are always tracked; storing
+    them directly measurably slowed the 2k-viewer bench lane through GC
+    alone).  The ``events`` property materializes the records into
+    :class:`TraceEvent` objects once, on first read, and caches them —
+    exporters and tests see the same object API as before, paid for
+    outside the simulation loop.
     """
 
-    __slots__ = ("_records", "_events", "shard", "_seq")
+    __slots__ = ("_records", "_data", "_events", "shard", "_seq")
 
     def __init__(self, shard: int | None = None) -> None:
         self._records: list[tuple] = []
+        self._data: list[dict | None] = []
         self._events: list[TraceEvent] = []
         self.shard = shard
         self._seq = 0
@@ -200,9 +204,8 @@ class Tracer:
     ) -> None:
         """Record one event at virtual time ``t``."""
         self._seq += 1
-        self._records.append(
-            (t, kind, session, self.shard, self._seq, data or None)
-        )
+        self._records.append((t, kind, session, self.shard, self._seq))
+        self._data.append(data or None)
 
     @property
     def events(self) -> list[TraceEvent]:
@@ -214,7 +217,10 @@ class Tracer:
         done = len(self._events)
         if done != len(self._records):
             self._events.extend(
-                TraceEvent(*record) for record in self._records[done:]
+                TraceEvent(*record, data)
+                for record, data in zip(
+                    self._records[done:], self._data[done:]
+                )
             )
         return self._events
 
@@ -235,10 +241,9 @@ class Tracer:
         """
         # Extend the compact tier so counts stay consistent; the events
         # property re-materializes the suffix on next read.
-        self._records.extend(
-            (ev.t, ev.kind, ev.session, ev.shard, ev.seq, ev.data)
-            for ev in merge_events(streams)
-        )
+        for ev in merge_events(streams):
+            self._records.append((ev.t, ev.kind, ev.session, ev.shard, ev.seq))
+            self._data.append(ev.data)
 
     def __len__(self) -> int:
         return len(self._records)

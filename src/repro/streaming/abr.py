@@ -26,7 +26,6 @@ registered there too.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,22 +43,12 @@ __all__ = [
     "DiscreteMPC",
     "BufferBased",
     "YUZU_DENSITY_LEVELS",
-    "COARSE_DEDUP_QUANTA",
 ]
 
 #: Fetch densities reachable with YuZu's discrete SR options.  The paper
 #: lists them as factor pairs (1x2, 2x2, 1x3, 1x4, 4x1, 2x1), i.e. end-to-end
 #: ratios {2, 3, 4} — so a discrete client can never fetch below 1/4 density.
 YUZU_DENSITY_LEVELS = (1.0, 1.0 / 2.0, 1.0 / 3.0, 1.0 / 4.0)
-
-#: Coarse decision-dedup quanta preset for ``dedup_quanta=``: 10 kbps on
-#: throughput, 0.1 s on buffer level, 0.01 on prev quality.  Merges many
-#: more steady-state rows per tensor pass than the conservative default;
-#: the resulting QoE perturbation is bounded (test-pinned at <5% relative
-#: mean-QoE drift on a 600-viewer CDN fleet, see
-#: ``tests/streaming/test_columnar.py``).  Use when decision-pass wall
-#: time matters more than exact-default fidelity.
-COARSE_DEDUP_QUANTA = (-4, 1, 2)
 
 
 class SRQualityModel:
@@ -187,8 +176,8 @@ class AbrController:
         The columnar fleet engine hands decision state over as parallel
         columns instead of context objects.  The default materializes
         every row and defers to :meth:`decide_batch`; MPC controllers
-        override it to build dedup keys straight from the columns so
-        memo-hit and duplicate rows never allocate a context at all.
+        override it to read the columns directly, so no context is
+        allocated at all.
         Must be equivalent to deciding each row's
         :meth:`~repro.streaming.columnar.DecisionColumns.context` — the
         columnar oracle-parity grid relies on it.
@@ -199,7 +188,17 @@ class AbrController:
 
 
 class _MPCBase(AbrController):
-    """Shared horizon-planning logic (Eq. 10 maximization)."""
+    """Shared horizon-planning logic (Eq. 10 maximization).
+
+    Rows are evaluated by one of two paths that share one arithmetic.  A
+    one-row call — the fleet's common shape, one session deciding per
+    chunk completion — runs :meth:`_row_values`, a Python-float kernel
+    over per-window lists; a call with two or more rows runs
+    :meth:`_tensor_values`, one NumPy pass per horizon length.  Both
+    follow :meth:`_plan_value` step for step on the same cached terms,
+    so they return bit-identical values and the same decisions (the
+    scalar oracle itself agrees to ~1e-9).
+    """
 
     def __init__(
         self,
@@ -210,7 +209,6 @@ class _MPCBase(AbrController):
         horizon: int = 5,
         safety: float = 0.9,
         fetch_fraction: float = 1.0,
-        dedup_quanta: tuple[int, int, int] | None = None,
     ):
         cand = np.asarray(candidates, dtype=np.float64)
         if cand.ndim != 1 or len(cand) == 0:
@@ -229,44 +227,26 @@ class _MPCBase(AbrController):
         self.safety = float(safety)
         if not 0.0 < fetch_fraction <= 1.0:
             raise ValueError("fetch_fraction must be in (0, 1]")
-        #: lazily cached (sr_ratios, qualities) of the candidate grid
-        self._candidate_stats: tuple[np.ndarray, np.ndarray] | None = None
-        #: horizon-window tensors keyed by the chunk tuple (see
-        #: :meth:`_horizon_tensors`)
-        self._horizon_cache: dict[tuple, tuple] = {}
-        #: dedupe identical decision rows in :meth:`decide_batch` (and
-        #: memoize them across calls).  Decisions are pure functions of
-        #: their context, so two rows with the same quantized state and
-        #: chunk window get the same answer — computed once.  Flip off to
-        #: recover the one-tensor-row-per-context reference path (the
-        #: dedup parity test pins the two against each other).
-        self.dedup = True
-        if dedup_quanta is not None:
-            if len(dedup_quanta) != 3:
-                raise ValueError(
-                    "dedup_quanta must be (tput, buffer, prev) decimal "
-                    f"counts, got {dedup_quanta!r}"
-                )
-            # Instance overrides of the conservative class-level quanta
-            # (see the block comment above _dedup_key).  Coarser quanta
-            # merge more rows per tensor pass at the price of a bounded
-            # QoE perturbation — COARSE_DEDUP_QUANTA documents the
-            # measured bound.
-            self._TPUT_DECIMALS = int(dedup_quanta[0])
-            self._BUFFER_DECIMALS = int(dedup_quanta[1])
-            self._PREV_DECIMALS = int(dedup_quanta[2])
-        #: decision memo: quantized state -> Decision, bounded LRU
-        self._decision_memo: OrderedDict[tuple, Decision] = OrderedDict()
-        self._memo_capacity = 1 << 16
-        #: lifetime counters: rows seen by decide_batch, rows that needed
-        #: a fresh tensor evaluation, rows answered from the cross-call memo
-        self.decide_rows = 0
-        self.decide_unique = 0
-        self.decide_memo_hits = 0
         # Fraction of each chunk's bytes actually fetched (ViVo's
         # visibility culling); must match the session's fetch_fraction so
         # the plan prices downloads correctly.
         self.fetch_fraction = float(fetch_fraction)
+        # The candidate grid is fixed at construction, so its SR ratios,
+        # qualities, α·q terms and decisions are too.
+        self._sr_ratios = quality_model.sr_ratios_for(self.candidates)
+        self._qualities = quality_model.qualities(
+            self.candidates, self._sr_ratios
+        )
+        alpha = qoe_model.weights.alpha
+        self._row_q = self._qualities.tolist()
+        self._row_aq = [alpha * q for q in self._row_q]
+        self._decisions = [
+            Decision(density=d, sr_ratio=quality_model.sr_ratio_for(d))
+            for d in self.candidates.tolist()
+        ]
+        #: per-window tensors and their per-candidate list form, keyed by
+        #: the chunk tuple (see :meth:`_horizon_tensors`)
+        self._horizon_cache: dict[tuple, tuple] = {}
 
     # ------------------------------------------------------------------
     def _plan_value(self, density: float, ctx: AbrContext) -> float:
@@ -275,10 +255,10 @@ class _MPCBase(AbrController):
         Uses the robust-MPC simplification of a constant decision over the
         horizon with a safety-discounted throughput estimate.
 
-        This is the scalar **reference oracle**: ``decide`` runs the
-        vectorized :meth:`plan_values` instead, and the parity test grid
-        pins the two paths against each other (the analogue of the kNN
-        three-backend parity oracle).
+        This is the scalar **reference oracle**: one-row calls run the
+        one-row kernel and larger ones the tensor pass instead, and the
+        parity test grid pins all three against each other (the
+        analogue of the kNN three-backend parity oracle).
         """
         tput = ctx.throughput_bps * self.safety
         s = self.quality_model.sr_ratio_for(density)
@@ -300,23 +280,19 @@ class _MPCBase(AbrController):
             stalls.append(stall)
         return self.qoe_model.plan_value(qualities, stalls, ctx.prev_quality)
 
-    def _horizon_tensors(
-        self, chunks: tuple
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Throughput-independent tensors of one horizon window.
+    def _horizon_tensors(self, chunks: tuple) -> tuple:
+        """Throughput-independent terms of one horizon window.
 
         ``(fetched bits, SR seconds, chunk durations)`` over the
         ``(chunk, candidate)`` grid depend only on the chunk specs, the
         fixed candidate densities, and the (fixed) SR latency model — so
-        they are computed once per distinct window and replayed.  Fleet
-        drivers call the planner with batches of one per completion
-        event, which makes this cache the difference between re-deriving
-        the whole tensor per chunk and a dictionary hit.
+        they are computed once per distinct window and replayed.  The
+        fourth element holds the same numbers for the one-row kernel:
+        one tuple of ``(bits, SR seconds, duration)`` steps per candidate.
         """
         cached = self._horizon_cache.get(chunks)
         if cached is None:
             d = self.candidates
-            s, _ = self._candidate_stats  # type: ignore[misc]
             ppf = np.array([c.points_per_frame for c in chunks])
             nf = np.array([c.n_frames for c in chunks], dtype=np.int64)
             bpp = np.array([c.bytes_per_point for c in chunks])
@@ -324,211 +300,150 @@ class _MPCBase(AbrController):
             pts = batched_points_at_density(ppf[:, None], d)   # (H, C)
             nbytes = batched_chunk_bytes(nf[:, None], pts, bpp[:, None])
             bits = nbytes * self.fetch_fraction * 8.0
-            sr = nf[:, None] * latency_batch(self.sr_latency, pts, s)
-            cached = (bits, sr, dur)
+            sr = nf[:, None] * latency_batch(self.sr_latency, pts, self._sr_ratios)
+            durations = dur.tolist()
+            steps = [
+                tuple(zip(b, s, durations))
+                for b, s in zip(bits.T.tolist(), sr.T.tolist())
+            ]
+            cached = (bits, sr, dur, steps)
             self._horizon_cache[chunks] = cached
         return cached
 
-    def _batch_plan_values(self, ctxs: list[AbrContext]) -> np.ndarray:
-        """Plan values for every (context, candidate) pair in one pass.
+    def _row_values(
+        self, tput: float, buffer: float, prev: float | None, window: tuple
+    ) -> list[float]:
+        """Plan values of one row over every candidate (the one-row kernel).
 
-        All contexts must share the same effective horizon length (the
-        public entry points group by it).  Returns ``(n_ctx, n_candidates)``.
-        The arithmetic replicates :meth:`_plan_value` operation for
-        operation with a candidate axis appended — rounding modes included —
-        so both paths produce bit-identical values.
+        Python floats over the window's per-candidate steps, in
+        :meth:`_plan_value`'s order: ``ready = max(bits/tput, sr)``, then
+        the stall, then the buffer update.  The plan's quality is constant
+        over the horizon, so the variation term is nonzero only at the
+        first step.  Equal to :meth:`_tensor_values` bit for bit.
         """
-        # The candidate grid is fixed at construction, so its SR ratios
-        # and qualities are too.
-        if self._candidate_stats is None:
-            d = self.candidates
-            qm = self.quality_model
-            srr = qm.sr_ratios_for(d)                          # (C,)
-            self._candidate_stats = (srr, qm.qualities(d, srr))
-        s, q = self._candidate_stats
-        per_ctx = [
-            self._horizon_tensors(tuple(ctx.next_chunks[: self.horizon]))
-            for ctx in ctxs
-        ]
-        n_ctx, h_len = len(ctxs), len(per_ctx[0][2])
-        if n_ctx == 1:
-            bits, sr, dur = (t[None] for t in per_ctx[0])      # (1, H, ...)
+        tput = tput * self.safety
+        w = self.qoe_model.weights
+        gamma = w.gamma
+        aqs = self._row_aq
+        if prev is None:
+            heads = aqs
         else:
-            bits = np.stack([t[0] for t in per_ctx])           # (N, H, C)
-            sr = np.stack([t[1] for t in per_ctx])
-            dur = np.stack([t[2] for t in per_ctx])            # (N, H)
+            heads = []
+            for aq, q in zip(aqs, self._row_q):
+                delta = q - prev
+                mult = w.drop_multiplier if delta < 0 else 1.0
+                heads.append(aq - w.beta * mult * abs(delta))
+        values = []
+        for head, aq, steps in zip(heads, aqs, self._horizon_tensors(window)[3]):
+            buf = buffer
+            total = 0.0
+            for bits, sr, dur in steps:
+                ready = bits / tput
+                if sr > ready:
+                    ready = sr
+                stall = ready - buf
+                if stall > 0.0:
+                    buf = dur
+                else:
+                    stall = 0.0
+                    buf = (buf - ready) + dur
+                total += head - gamma * stall
+                head = aq
+            values.append(total)
+        return values
 
-        tput = (
-            np.array([ctx.throughput_bps for ctx in ctxs]) * self.safety
-        )                                                      # (N,)
+    def _tensor_values(
+        self,
+        tputs: list[float],
+        buffers: list[float],
+        prevs: list[float | None],
+        windows: list[tuple],
+    ) -> np.ndarray:
+        """Plan values for every (row, candidate) pair in one pass.
+
+        All windows must share the same length (the public entry points
+        group by it).  Returns ``(n_rows, n_candidates)``.  The arithmetic
+        replicates :meth:`_plan_value` operation for operation with a
+        candidate axis appended — rounding modes included — so each row
+        equals :meth:`_row_values` bit for bit.
+        """
+        per_row = [self._horizon_tensors(win) for win in windows]
+        bits = np.stack([t[0] for t in per_row])               # (N, H, C)
+        sr = np.stack([t[1] for t in per_row])
+        dur = np.stack([t[2] for t in per_row])                # (N, H)
+        tput = np.array(tputs) * self.safety                   # (N,)
         dl = bits / tput[:, None, None]
         ready = np.maximum(dl, sr)                             # (N, H, C)
 
-        buffer = np.array([ctx.buffer_level for ctx in ctxs])[:, None]
-        stalls = np.empty((h_len, n_ctx, len(self.candidates)))
-        for h in range(h_len):
+        buffer = np.array(buffers)[:, None]
+        stalls = np.empty((dur.shape[1], len(windows), len(self.candidates)))
+        for h in range(dur.shape[1]):
             r = ready[:, h, :]
             stalls[h] = np.maximum(0.0, r - buffer)
             buffer = np.maximum(buffer - r, 0.0) + dur[:, h, None]
 
         prev = np.array(
-            [
-                np.nan if ctx.prev_quality is None else ctx.prev_quality
-                for ctx in ctxs
-            ]
+            [np.nan if p is None else p for p in prevs]
         )[:, None]                                             # (N, 1)
-        return self.qoe_model.plan_values(q, stalls, prev)
+        return self.qoe_model.plan_values(self._qualities, stalls, prev)
 
     def plan_values(self, ctx: AbrContext) -> np.ndarray:
-        """Vectorized plan values over all candidate densities, ``(C,)``."""
-        return self._batch_plan_values([ctx])[0]
+        """Tensor-pass plan values over all candidate densities, ``(C,)``."""
+        return self._tensor_values(
+            [ctx.throughput_bps], [ctx.buffer_level], [ctx.prev_quality],
+            [tuple(ctx.next_chunks[: self.horizon])],
+        )[0]
 
-    def _decision_for(self, density: float) -> Decision:
-        return Decision(
-            density=density, sr_ratio=self.quality_model.sr_ratio_for(density)
-        )
+    def _decide_rows(
+        self,
+        tputs: list[float],
+        buffers: list[float],
+        prevs: list[float | None],
+        windows: list[tuple],
+    ) -> list[Decision]:
+        """Decide column-shaped rows: one row runs the kernel, more the
+        tensor pass grouped by horizon length (contexts near the end of
+        their video have shorter windows).  Ties keep the first maximum,
+        as ``np.argmax`` does."""
+        decisions = self._decisions
+        if len(windows) == 1:
+            values = self._row_values(tputs[0], buffers[0], prevs[0], windows[0])
+            return [decisions[values.index(max(values))]]
+        out: list[Decision | None] = [None] * len(windows)
+        groups: dict[int, list[int]] = {}
+        for i, win in enumerate(windows):
+            groups.setdefault(len(win), []).append(i)
+        for idxs in groups.values():
+            values = self._tensor_values(
+                [tputs[i] for i in idxs],
+                [buffers[i] for i in idxs],
+                [prevs[i] for i in idxs],
+                [windows[i] for i in idxs],
+            )
+            for i, best in zip(idxs, np.argmax(values, axis=1).tolist()):
+                out[i] = decisions[best]
+        return out  # type: ignore[return-value]
 
     def decide(self, ctx: AbrContext) -> Decision:
-        best = self.candidates[int(np.argmax(self.plan_values(ctx)))]
-        return self._decision_for(float(best))
-
-    #: decision-row quantization: states closer than these quanta are the
-    #: same decision problem.  Deliberately conservative — well below any
-    #: difference the planner's argmax can see in practice — so dedup
-    #: collapses genuinely-identical steady states (co-watching viewers,
-    #: every first decision per video) without materially perturbing
-    #: near-boundary ones.
-    _TPUT_DECIMALS = 3     # 0.001 bps quantum on throughput (bps-valued)
-    _BUFFER_DECIMALS = 6   # 1 µs quantum on buffer level (seconds-valued)
-    _PREV_DECIMALS = 9     # quality is in [0, 1]
-
-    def _dedup_key(self, ctx: AbrContext) -> tuple:
-        """Quantized decision-row identity of one context.
-
-        The chunk window (value-hashed frozen specs) pins the video,
-        position, and effective horizon; the quantized scalars pin the
-        client state.  Equal keys ⇒ the same decision.
-        """
-        prev = ctx.prev_quality
-        return (
-            round(ctx.throughput_bps, self._TPUT_DECIMALS),
-            round(ctx.buffer_level, self._BUFFER_DECIMALS),
-            None if prev is None else round(prev, self._PREV_DECIMALS),
-            tuple(ctx.next_chunks[: self.horizon]),
-        )
-
-    def _memo_store(self, key: tuple, decision: Decision) -> None:
-        self._decision_memo[key] = decision
-        if len(self._decision_memo) > self._memo_capacity:
-            self._decision_memo.popitem(last=False)
+        return self.decide_batch([ctx])[0]
 
     def decide_batch(self, ctxs: list[AbrContext]) -> list[Decision]:
-        """One array pass per horizon length over the *unique* rows.
-
-        At fleet steady state many sessions face the same decision — same
-        chunk window, same quantized buffer/throughput state (the widest
-        case is the first decision of every co-watching viewer) — so the
-        batch is first deduped by :meth:`_dedup_key` and checked against
-        the bounded cross-call memo; only the surviving representative
-        rows enter the tensor evaluation, and their decisions are
-        scattered back to every duplicate.  The tensor pass therefore
-        costs O(unique states), not O(sessions).  Contexts near the end
-        of their video have shorter horizons, so unique rows are still
-        grouped by effective horizon length.  ``self.dedup = False``
-        restores the evaluate-every-row reference path.
-        """
-        decisions: list[Decision | None] = [None] * len(ctxs)
-        if not self.dedup:
-            groups: dict[int, list[int]] = {}
-            for i, ctx in enumerate(ctxs):
-                groups.setdefault(
-                    len(ctx.next_chunks[: self.horizon]), []
-                ).append(i)
-            for idxs in groups.values():
-                values = self._batch_plan_values([ctxs[i] for i in idxs])
-                best = self.candidates[np.argmax(values, axis=1)]
-                for j, i in enumerate(idxs):
-                    decisions[i] = self._decision_for(float(best[j]))
-            return decisions  # type: ignore[return-value]
-
-        return self._decide_keyed(
-            [self._dedup_key(ctx) for ctx in ctxs], lambda i: ctxs[i]
+        h = self.horizon
+        return self._decide_rows(
+            [ctx.throughput_bps for ctx in ctxs],
+            [ctx.buffer_level for ctx in ctxs],
+            [ctx.prev_quality for ctx in ctxs],
+            [tuple(ctx.next_chunks[:h]) for ctx in ctxs],
         )
 
-    def _decide_keyed(self, keys: list[tuple], ctx_of) -> list[Decision]:
-        """Dedup/memo decision core, shared by both row representations.
-
-        ``keys`` are :meth:`_dedup_key`-shaped tuples, one per row;
-        ``ctx_of(i)`` lazily materializes row ``i`` as an
-        :class:`AbrContext` — it is called only for the representative
-        row of each fresh key, which is what lets the columnar engine
-        skip context construction for memo hits and duplicates entirely.
-        """
-        decisions: list[Decision | None] = [None] * len(keys)
-        self.decide_rows += len(keys)
-        memo = self._decision_memo
-        fresh_order: list[tuple] = []        # unique unseen keys, first-seen order
-        fresh_idxs: dict[tuple, list[int]] = {}
-        for i, key in enumerate(keys):
-            hit = memo.get(key)
-            if hit is not None:
-                memo.move_to_end(key)
-                self.decide_memo_hits += 1
-                decisions[i] = hit
-                continue
-            idxs = fresh_idxs.get(key)
-            if idxs is None:
-                fresh_order.append(key)
-                fresh_idxs[key] = [i]
-            else:
-                idxs.append(i)
-        self.decide_unique += len(fresh_order)
-        by_horizon: dict[int, list[tuple]] = {}
-        for key in fresh_order:
-            by_horizon.setdefault(len(key[3]), []).append(key)
-        for group in by_horizon.values():
-            # The representative row is the first context that produced
-            # the key; duplicates inherit its decision verbatim.
-            reps = [ctx_of(fresh_idxs[key][0]) for key in group]
-            values = self._batch_plan_values(reps)
-            best = self.candidates[np.argmax(values, axis=1)]
-            for key, b in zip(group, best):
-                decision = self._decision_for(float(b))
-                self._memo_store(key, decision)
-                for i in fresh_idxs[key]:
-                    decisions[i] = decision
-        return decisions  # type: ignore[return-value]
-
     def decide_columns(self, batch) -> list[Decision]:
-        """Columnar decide: dedup keys built straight from the columns.
-
-        Bit-identical to :meth:`decide_batch` over the batch's
-        materialized contexts — the key tuples are value-identical (same
-        ``round`` calls, chunk windows from the fleet-wide tuple cache
-        compare equal to freshly sliced ones), so memo state is even
-        interchangeable between engines — but memo-hit and duplicate
-        rows never allocate an :class:`AbrContext` at all.
-        """
-        if not self.dedup:
-            return self.decide_batch(
-                [batch.context(i) for i in range(len(batch))]
-            )
-        td = self._TPUT_DECIMALS
-        bd = self._BUFFER_DECIMALS
-        pd = self._PREV_DECIMALS
+        """Columnar decide: rows read straight from the columns, so no
+        :class:`AbrContext` is built."""
         h = self.horizon
-        keys = []
-        for i in range(len(batch)):
-            prev = batch.prev[i]
-            keys.append(
-                (
-                    round(batch.tput[i], td),
-                    round(batch.buffer[i], bd),
-                    None if prev is None else round(prev, pd),
-                    batch.window(i, h),
-                )
-            )
-        return self._decide_keyed(keys, batch.context)
+        return self._decide_rows(
+            batch.tput, batch.buffer, batch.prev,
+            [batch.window(i, h) for i in range(len(batch))],
+        )
 
 
 class ContinuousMPC(_MPCBase):
@@ -550,14 +465,13 @@ class ContinuousMPC(_MPCBase):
         horizon: int = 5,
         safety: float = 0.9,
         fetch_fraction: float = 1.0,
-        dedup_quanta: tuple[int, int, int] | None = None,
     ):
         if not 0 < min_density < 1:
             raise ValueError("min_density must be in (0, 1)")
         grid = np.geomspace(min_density, 1.0, n_grid)
         super().__init__(
             grid, quality_model, qoe_model, sr_latency, horizon, safety,
-            fetch_fraction, dedup_quanta,
+            fetch_fraction,
         )
 
 
@@ -572,11 +486,10 @@ class DiscreteMPC(_MPCBase):
         levels: tuple[float, ...] = YUZU_DENSITY_LEVELS,
         horizon: int = 5,
         safety: float = 0.9,
-        dedup_quanta: tuple[int, int, int] | None = None,
     ):
         super().__init__(
             np.asarray(levels), quality_model, qoe_model, sr_latency,
-            horizon, safety, dedup_quanta=dedup_quanta,
+            horizon, safety,
         )
 
 

@@ -20,8 +20,9 @@ flat preallocated array per field (offset-indexed per session, so report
 aggregation never walks machine objects).  The event-step transition is
 exposed as pure field math (:meth:`advance_download` reads and writes
 columns only), and the decision pass feeds
-``AbrController.decide_columns`` straight from column slices — memo-hit
-and duplicate rows never materialize a context object at all.
+``AbrController.decide_columns`` straight from column slices — the MPC
+planners read those columns directly and never materialize a context
+object at all.
 
 Two things deliberately stay sequential Python, because bit-exactness
 pins their order:
@@ -76,24 +77,21 @@ class DecisionColumns:
 
     Rows are appended by :meth:`ColumnarFleet.decide` straight from the
     session columns.  Controllers read the scalar columns directly;
-    :meth:`window` returns the quantization window (the chunk tuple the
-    MPC dedup key hashes) from a fleet-wide cache, and :meth:`context`
-    materializes a full :class:`~repro.streaming.abr.AbrContext` — called
-    only for rows that survive dedup/memo, which is what makes the
-    columnar decision pass cheaper than building N contexts up front.
+    :meth:`window` returns a row's horizon window (the chunk tuple the
+    MPC planners key their per-window terms by), and :meth:`context`
+    materializes a full :class:`~repro.streaming.abr.AbrContext` for
+    controllers that decide from contexts.
     """
 
-    __slots__ = ("tput", "buffer", "prev", "_chunks", "_start", "_cfg_h",
-                 "_win_cache")
+    __slots__ = ("tput", "buffer", "prev", "_chunks", "_start", "_cfg_h")
 
-    def __init__(self, win_cache: dict):
+    def __init__(self):
         self.tput: list[float] = []
         self.buffer: list[float] = []
         self.prev: list[float | None] = []
         self._chunks: list[list] = []
         self._start: list[int] = []
         self._cfg_h: list[int] = []
-        self._win_cache = win_cache
 
     def append(
         self,
@@ -115,23 +113,12 @@ class DecisionColumns:
         return len(self.tput)
 
     def window(self, i: int, horizon: int) -> tuple:
-        """Chunk window ``tuple(next_chunks[:horizon])`` of row ``i``.
-
-        Value-identical to the machine path's
-        ``tuple(ctx.next_chunks[:horizon])`` — the dedup key must not
-        change between engines — but cached per (chunk list, position,
-        length) so steady-state decisions stop re-slicing and re-building
-        the tuple every row.
-        """
-        chunks = self._chunks[i]
+        """Chunk window ``tuple(next_chunks[:horizon])`` of row ``i``,
+        value-identical to the machine path's context slice."""
         start = self._start[i]
-        eff = min(self._cfg_h[i], horizon)
-        key = (id(chunks), start, eff)
-        win = self._win_cache.get(key)
-        if win is None:
-            win = tuple(chunks[start : start + eff])
-            self._win_cache[key] = win
-        return win
+        return tuple(
+            self._chunks[i][start : start + min(self._cfg_h[i], horizon)]
+        )
 
     def context(self, i: int) -> AbrContext:
         """Materialize row ``i`` as a full decision context."""
@@ -254,9 +241,6 @@ class ColumnarFleet:
         self.rec_bytes = np.zeros(total, dtype=np.int64)
         self.dec_density = np.zeros(total)
         self.dec_count = np.zeros(n, dtype=np.int64)
-
-        #: chunk-window tuples for MPC dedup keys, fleet-wide
-        self._win_cache: dict[tuple, tuple] = {}
 
         #: wired by ``simulate_fleet`` when tracing; emission sites are
         #: pure observation, so a tracer cannot perturb the column math
@@ -455,7 +439,7 @@ class ColumnarFleet:
         out: list[tuple[int, DownloadRequest]] = []
         for ids in by_controller.values():
             controller = controllers[ids[0]]
-            batch = DecisionColumns(self._win_cache)
+            batch = DecisionColumns()
             for sid in ids:
                 prev = float(self.prev_quality[sid])
                 batch.append(

@@ -316,10 +316,11 @@ def _batched_decisions(
 ) -> list[tuple[int, DownloadRequest]]:
     """Resolve every machine parked on a :class:`DecisionRequest`.
 
-    Machines sharing a controller object are decided in one vectorized
-    ``decide_batch`` array pass (the MPC classes evaluate the whole
-    (session, candidate, horizon) tensor at once); per-session controllers
-    degrade to batches of one.  Decisions are pure functions of their
+    Machines sharing a controller object are decided in one
+    ``decide_batch`` call (the MPC classes run a one-row call through
+    their list kernel and a larger one through a single (session,
+    candidate, horizon) tensor pass); per-session controllers degrade to
+    batches of one.  Decisions are pure functions of their
     context, so batching cannot change any session's outcome.  Returns the
     download request each decision unblocked.  ``clamp``, when given,
     rewrites each decision before the machine advances on it — the

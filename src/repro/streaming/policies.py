@@ -59,7 +59,6 @@ __all__ = [
     "register_policy",
     "get_policy",
     "available_policies",
-    "supports_dedup",
 ]
 
 
@@ -81,9 +80,6 @@ class AbrPolicy(Protocol):
     * ``quality_model`` — the :class:`~repro.streaming.abr.SRQualityModel`
       the policy prices decisions with (fleet drivers and experiments
       read it to keep session quality accounting consistent).
-    * dedup/memo participation is *optional* and advertised by a
-      truthy ``dedup`` attribute (see :func:`supports_dedup`); only the
-      MPC family opts in today.
     """
 
     quality_model: SRQualityModel
@@ -93,16 +89,6 @@ class AbrPolicy(Protocol):
     def decide_batch(self, ctxs: list[AbrContext]) -> list[Decision]: ...
 
     def decide_columns(self, batch) -> list[Decision]: ...
-
-
-def supports_dedup(policy) -> bool:
-    """Whether ``policy`` participates in decision-row dedup/memoization.
-
-    MPC planners quantize rows and memoize decisions across calls
-    (``_MPCBase.dedup``); the rule-based zoo recomputes — its per-row
-    arithmetic is two flops, cheaper than a dict probe.
-    """
-    return bool(getattr(policy, "dedup", False))
 
 
 # ----------------------------------------------------------------------

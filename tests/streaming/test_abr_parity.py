@@ -1,9 +1,10 @@
 """Vectorized-MPC parity oracle: batched planner vs scalar reference.
 
 ``_MPCBase._plan_value`` is the scalar reference implementation;
-``plan_values`` / ``decide`` / ``decide_batch`` run the batched NumPy
-evaluation.  These tests pin the two paths against each other across a
-parametrized grid of contexts and controllers — the MPC analogue of
+``decide`` and one-row batches run the Python-float one-row kernel, and
+``plan_values`` / multi-row ``decide_batch`` the batched NumPy pass.
+These tests pin the three against each other across a parametrized grid
+of contexts and controllers — the MPC analogue of
 ``tests/spatial/test_knn.py::TestThreeBackendParity``.
 """
 
@@ -113,6 +114,65 @@ class TestScalarVectorParity:
             )
 
     @pytest.mark.parametrize("mpc_name", sorted(MPC_FACTORIES))
+    @pytest.mark.parametrize("lat_name", sorted(LATENCIES))
+    def test_row_kernel_equals_tensor_pass(self, mpc_name, lat_name):
+        """The one-row kernel's values are the tensor pass's, bit for bit
+        (``==``, not a tolerance), over the grid plus windows truncated
+        at the video's end; its pick is the scalar oracle's argmax."""
+        mpc = MPC_FACTORIES[mpc_name](LATENCIES[lat_name]())
+        ctxs = [make_ctx(t, b, p) for t, b, p in CTX_GRID]
+        ctxs += [
+            make_ctx(40.0, 1.0, 0.5, n_chunks=1),
+            make_ctx(4.0, 0.0, None, n_chunks=2),
+        ]
+        for ctx in ctxs:
+            window = tuple(ctx.next_chunks[: mpc.horizon])
+            row = mpc._row_values(
+                ctx.throughput_bps, ctx.buffer_level, ctx.prev_quality, window
+            )
+            assert row == mpc.plan_values(ctx).tolist()
+            best = mpc.candidates[int(np.argmax(scalar_values(mpc, ctx)))]
+            assert mpc.decide_batch([ctx])[0].density == float(best)
+        # Many rows through one tensor pass: still the kernel's values.
+        same_len = ctxs[: len(CTX_GRID)]
+        tensor = mpc._tensor_values(
+            [c.throughput_bps for c in same_len],
+            [c.buffer_level for c in same_len],
+            [c.prev_quality for c in same_len],
+            [tuple(c.next_chunks[: mpc.horizon]) for c in same_len],
+        )
+        for ctx, values in zip(same_len, tensor.tolist()):
+            assert values == mpc._row_values(
+                ctx.throughput_bps, ctx.buffer_level, ctx.prev_quality,
+                tuple(ctx.next_chunks[: mpc.horizon]),
+            )
+
+    def test_row_kernel_tie_keeps_first_maximum(self):
+        """Equal plan values pick the lowest candidate, as ``np.argmax``
+        does: lossless SR gives every level quality 1, and a huge
+        throughput makes every plan stall-free."""
+        mpc = DiscreteMPC(
+            SRQualityModel(efficiency=1.0), QoEModel(), ZERO_LATENCY,
+            levels=(1.0, 0.5, 0.25),
+        )
+        for prev in (None, 1.0):
+            ctx = make_ctx(1e9, 5.0, prev)
+            values = mpc.plan_values(ctx)
+            assert len(set(values.tolist())) == 1
+            assert mpc.decide(ctx).density == 0.25
+            assert mpc.decide_batch([ctx, ctx])[0].density == 0.25
+
+    @pytest.mark.parametrize("mpc_name", sorted(MPC_FACTORIES))
+    def test_one_row_columns_equal_one_row_batch(self, mpc_name):
+        mpc = MPC_FACTORIES[mpc_name](measured_latency())
+        ctxs = [make_ctx(t, b, p) for t, b, p in CTX_GRID]
+        ctxs.append(make_ctx(40.0, 1.0, 0.5, n_chunks=1))
+        for ctx in ctxs:
+            assert mpc.decide_columns(columns_from_ctxs([ctx])) == (
+                mpc.decide_batch([ctx])
+            )
+
+    @pytest.mark.parametrize("mpc_name", sorted(MPC_FACTORIES))
     def test_decide_batch_matches_decide(self, mpc_name):
         """Batching across contexts — mixed horizons and prev-qualities —
         must be invisible."""
@@ -153,64 +213,6 @@ class TestScalarVectorParity:
         )
 
 
-class TestDecisionDedup:
-    """decide_batch's row dedup + memo against the evaluate-every-row path."""
-
-    def ctxs_with_duplicates(self):
-        grid = [make_ctx(t, b, p) for t, b, p in CTX_GRID]
-        # Steady-state shape: co-watching viewers produce value-identical
-        # contexts (fresh objects, equal floats).
-        dupes = [make_ctx(25.0, 2.5, 0.15) for _ in range(6)]
-        return grid + dupes + [make_ctx(40.0, 1.0, 0.5, n_chunks=1)]
-
-    def test_dedup_parity_within_1e9(self):
-        """With dedup on vs off, every decision agrees to 1e-9 (identical
-        rows collapse losslessly; the quantization quanta sit far below
-        the grid spacing)."""
-        ctxs = self.ctxs_with_duplicates()
-        mpc = MPC_FACTORIES["continuous"](measured_latency())
-        deduped = mpc.decide_batch(ctxs)
-        ref_mpc = MPC_FACTORIES["continuous"](measured_latency())
-        ref_mpc.dedup = False
-        reference = ref_mpc.decide_batch(ctxs)
-        assert len(deduped) == len(reference)
-        for a, b in zip(deduped, reference):
-            assert abs(a.density - b.density) <= ATOL
-            assert abs(a.sr_ratio - b.sr_ratio) <= ATOL
-
-    def test_identical_rows_share_one_tensor_row(self):
-        mpc = MPC_FACTORIES["continuous"](measured_latency())
-        ctxs = [make_ctx(25.0, 2.5, 0.15) for _ in range(8)]
-        decisions = mpc.decide_batch(ctxs)
-        assert mpc.decide_rows == 8
-        assert mpc.decide_unique == 1
-        assert len(set(d.density for d in decisions)) == 1
-
-    def test_memo_answers_repeat_calls(self):
-        """A later batch that re-poses a decided row never re-enters the
-        tensor pass — and gets the identical decision."""
-        mpc = MPC_FACTORIES["continuous"](measured_latency())
-        first = mpc.decide_batch([make_ctx(t, 2.0, None) for t in (10.0, 20.0)])
-        assert mpc.decide_memo_hits == 0
-        second = mpc.decide_batch([make_ctx(t, 2.0, None) for t in (10.0, 20.0)])
-        assert mpc.decide_memo_hits == 2
-        assert first == second
-
-    def test_memo_capacity_bounded(self):
-        mpc = MPC_FACTORIES["continuous"](measured_latency())
-        mpc._memo_capacity = 4
-        for t in (5.0, 10.0, 15.0, 20.0, 25.0, 30.0):
-            mpc.decide_batch([make_ctx(t, 1.0, None)])
-        assert len(mpc._decision_memo) == 4
-
-    def test_dedup_off_evaluates_every_row(self):
-        mpc = MPC_FACTORIES["continuous"](measured_latency())
-        mpc.dedup = False
-        mpc.decide_batch([make_ctx(25.0, 2.5, 0.15) for _ in range(5)])
-        assert mpc.decide_rows == 0          # counters untouched off-path
-        assert len(mpc._decision_memo) == 0
-
-
 ZOO_FACTORIES = {
     "bola": lambda: get_policy("bola", n_grid=12),
     "bola-tuned": lambda: get_policy(
@@ -226,7 +228,7 @@ ZOO_FACTORIES = {
 
 def columns_from_ctxs(ctxs):
     """A DecisionColumns batch holding the given contexts row for row."""
-    batch = DecisionColumns({})
+    batch = DecisionColumns()
     for ctx in ctxs:
         chunks = list(ctx.next_chunks)
         batch.append(

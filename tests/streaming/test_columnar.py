@@ -7,9 +7,7 @@ stays the bit-exact oracle: the hypothesis grid below pins the columnar
 path against it across single-link/CDN serving, SR-cache modes, churn,
 startup payloads, and the fault-free control-plane configurations —
 joining kNN backends, vectorized MPC, PathScheduler engines, the sharded
-executor, and the disabled-mode fault machinery.  The decision-dedup
-quanta lever (``dedup_quanta=``) is pinned here too, with its bounded
-QoE error.
+executor, and the disabled-mode fault machinery.
 """
 
 import math
@@ -21,7 +19,6 @@ from hypothesis import strategies as st
 from repro.metrics import QoEModel
 from repro.net import stable_trace
 from repro.streaming import (
-    COARSE_DEDUP_QUANTA,
     AbandonPolicy,
     BackhaulDegradation,
     ContinuousMPC,
@@ -274,88 +271,6 @@ class TestColumnarValidation:
         )
         b = simulate_fleet(make_sessions(3), topology=make_topology(2))
         assert a.report == b.report
-
-
-class TestDedupQuanta:
-    """The coarser decision-dedup quanta lever and its error bound."""
-
-    def run_fleet(self, dedup_quanta=None, n=48):
-        qm = SRQualityModel()
-        lat = sr_lat()
-        ctrl = ContinuousMPC(
-            qm, QoEModel(), lat, n_grid=8, horizon=2,
-            dedup_quanta=dedup_quanta,
-        )
-        sessions = [
-            FleetSession(
-                spec=spec(6, name=f"v{i % 3}"),
-                controller=ctrl,
-                sr_latency=lat,
-                quality_model=qm,
-                join_time=0.25 * i,
-            )
-            for i in range(n)
-        ]
-        result = simulate_fleet(
-            sessions, topology=make_topology(2), sr_cache="per-edge"
-        )
-        return result, ctrl
-
-    def test_coarse_quanta_bounded_qoe_error(self):
-        """COARSE_DEDUP_QUANTA merges strictly more rows per tensor pass
-        while perturbing mean QoE by less than 5% relative — the bound
-        the preset's docstring commits to."""
-        exact, ctrl_exact = self.run_fleet()
-        coarse, ctrl_coarse = self.run_fleet(COARSE_DEDUP_QUANTA)
-        assert ctrl_coarse.decide_unique < ctrl_exact.decide_unique
-        rel = abs(coarse.report.mean_qoe - exact.report.mean_qoe) / max(
-            abs(exact.report.mean_qoe), 1e-9
-        )
-        assert rel < 0.05
-        # Stall totals stay in the same regime (no catastrophic drift).
-        assert coarse.report.stall_ratio == pytest.approx(
-            exact.report.stall_ratio, abs=0.05
-        )
-
-    def test_default_quanta_unchanged(self):
-        """Passing the default quanta explicitly is the identity."""
-        a, _ = self.run_fleet()
-        b, _ = self.run_fleet((3, 6, 9))
-        assert a.report == b.report
-
-    def test_coarse_quanta_columnar_parity(self):
-        """The quanta knob and the columnar engine compose: both engines
-        build identical coarse keys, so results stay bit-exact."""
-        qm = SRQualityModel()
-        lat = sr_lat()
-
-        def run(session_engine):
-            ctrl = ContinuousMPC(
-                qm, QoEModel(), lat, n_grid=8, horizon=2,
-                dedup_quanta=COARSE_DEDUP_QUANTA,
-            )
-            sessions = [
-                FleetSession(
-                    spec=spec(6, name=f"v{i % 3}"),
-                    controller=ctrl,
-                    sr_latency=lat,
-                    quality_model=qm,
-                    join_time=0.5 * i,
-                )
-                for i in range(8)
-            ]
-            return simulate_fleet(
-                sessions, topology=make_topology(2), session_engine=session_engine
-            )
-
-        assert_identical(run("machine"), run("columnar"))
-
-    def test_validation(self):
-        qm = SRQualityModel()
-        with pytest.raises(ValueError, match="dedup_quanta"):
-            ContinuousMPC(
-                qm, QoEModel(), sr_lat(), dedup_quanta=(3, 6)
-            )
 
 
 class TestColumnarUnits:

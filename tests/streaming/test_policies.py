@@ -16,7 +16,6 @@ from repro.streaming import (
     available_policies,
     get_policy,
     register_policy,
-    supports_dedup,
 )
 from repro.streaming.policies import _REGISTRY
 
@@ -110,13 +109,6 @@ class TestRegistry:
         via_registry = get_policy("bola", quality_model=qm, n_grid=12)
         assert (via_registry.candidates == direct.candidates).all()
         assert via_registry.lyapunov_v == direct.lyapunov_v
-
-    def test_supports_dedup(self):
-        assert supports_dedup(get_policy("continuous-mpc"))
-        assert supports_dedup(get_policy("discrete-mpc"))
-        assert not supports_dedup(get_policy("bola"))
-        assert not supports_dedup(get_policy("throughput"))
-        assert not supports_dedup(get_policy("hybrid"))
 
 
 class TestZooValidation:

@@ -18,7 +18,7 @@ RAW_NAMES = (
     "test_bench_single_link_fleet",
     "test_bench_cdn_fleet",
     "test_bench_decide_batch",
-    "test_bench_decide_batch_memoized",
+    "test_bench_decide_fleet_row",
     "test_bench_decide_single",
     "test_bench_scalar_reference",
 )
@@ -78,7 +78,7 @@ class TestBuildReports:
         mpc = reports["BENCH_mpc.json"]
         assert set(mpc["benchmarks"]) == {
             "test_bench_decide_batch",
-            "test_bench_decide_batch_memoized",
+            "test_bench_decide_fleet_row",
             "test_bench_decide_single",
             "test_bench_scalar_reference",
         }
